@@ -22,20 +22,33 @@ type t = {
 
 let columns_of_nodes = Cols.of_nodes
 
+(* Count-then-fill: one pass sizes each tag's array, a second fills it.
+   Pre-order iteration already yields nodes sorted by start position. *)
+type bucket = { mutable fill : int; mutable nodes : Node.t array }
+
 let build doc =
-  let buckets : (string, Node.t list ref) Hashtbl.t = Hashtbl.create 64 in
-  (* Pre-order iteration already yields nodes sorted by start position, so
-     each bucket is sorted once the accumulation lists are reversed. *)
-  Document.iter
+  let all = Document.nodes doc in
+  let buckets : (string, bucket) Hashtbl.t = Hashtbl.create 64 in
+  Array.iter
     (fun n ->
-      match Hashtbl.find_opt buckets n.Node.tag with
-      | Some l -> l := n :: !l
-      | None -> Hashtbl.add buckets n.Node.tag (ref [ n ]))
-    doc;
+      match Hashtbl.find buckets n.Node.tag with
+      | b -> b.fill <- b.fill + 1
+      | exception Not_found ->
+          Hashtbl.add buckets n.Node.tag { fill = 1; nodes = [||] })
+    all;
   let by_tag = Hashtbl.create (Hashtbl.length buckets) in
   Hashtbl.iter
-    (fun tag l -> Hashtbl.replace by_tag tag (Array.of_list (List.rev !l)))
+    (fun tag b ->
+      b.nodes <- Array.make b.fill all.(0);
+      b.fill <- 0;
+      Hashtbl.replace by_tag tag b.nodes)
     buckets;
+  Array.iter
+    (fun n ->
+      let b = Hashtbl.find buckets n.Node.tag in
+      b.nodes.(b.fill) <- n;
+      b.fill <- b.fill + 1)
+    all;
   {
     doc;
     by_tag;

@@ -5,7 +5,7 @@ type open_frame = {
   o_level : int;
   o_parent : int;
   o_attrs : (string * string) list;
-  mutable o_text : Buffer.t;
+  mutable o_text : string list;  (* pieces, newest first; most have 0 or 1 *)
 }
 
 type t = {
@@ -13,11 +13,23 @@ type t = {
   mutable next_id : int;
   mutable stack : open_frame list;
   mutable closed : bool;  (* a root has been fully closed *)
-  finished : (int, Node.t) Hashtbl.t;  (* id -> node, filled at close *)
+  mutable nodes : Node.t array;  (* indexed by id, filled at close *)
 }
 
+let placeholder =
+  {
+    Node.id = -1;
+    tag = "";
+    start_pos = 0;
+    end_pos = 0;
+    level = 0;
+    parent = Node.root_parent;
+    attrs = [];
+    text = "";
+  }
+
 let create () =
-  { pos = 0; next_id = 0; stack = []; closed = false; finished = Hashtbl.create 64 }
+  { pos = 0; next_id = 0; stack = []; closed = false; nodes = Array.make 64 placeholder }
 
 let open_element ?(attrs = []) t tag =
   (match (t.stack, t.closed) with
@@ -33,7 +45,7 @@ let open_element ?(attrs = []) t tag =
       o_level = level;
       o_parent = parent;
       o_attrs = attrs;
-      o_text = Buffer.create 8;
+      o_text = [];
     }
   in
   t.next_id <- t.next_id + 1;
@@ -43,12 +55,18 @@ let open_element ?(attrs = []) t tag =
 let text t s =
   match t.stack with
   | [] -> invalid_arg "Builder.text: no open element"
-  | f :: _ -> Buffer.add_string f.o_text s
+  | f :: _ -> f.o_text <- s :: f.o_text
 
 let close_element t =
   match t.stack with
   | [] -> invalid_arg "Builder.close_element: no open element"
   | f :: rest ->
+      let text =
+        match f.o_text with
+        | [] -> ""
+        | [ s ] -> s
+        | pieces -> String.concat "" (List.rev pieces)
+      in
       let node =
         {
           Node.id = f.o_id;
@@ -58,13 +76,20 @@ let close_element t =
           level = f.o_level;
           parent = f.o_parent;
           attrs = f.o_attrs;
-          text = Buffer.contents f.o_text;
+          text;
         }
       in
       t.pos <- t.pos + 1;
-      Hashtbl.replace t.finished f.o_id node;
+      if f.o_id >= Array.length t.nodes then begin
+        let grown =
+          Array.make (max (f.o_id + 1) (2 * Array.length t.nodes)) placeholder
+        in
+        Array.blit t.nodes 0 grown 0 (Array.length t.nodes);
+        t.nodes <- grown
+      end;
+      t.nodes.(f.o_id) <- node;
       t.stack <- rest;
-      if rest = [] then t.closed <- true
+      if rest == [] then t.closed <- true
 
 let leaf ?attrs ?text:(txt = "") t tag =
   open_element ?attrs t tag;
@@ -76,11 +101,4 @@ let depth t = List.length t.stack
 let finish t =
   if t.stack <> [] then invalid_arg "Builder.finish: unclosed elements";
   if not t.closed then invalid_arg "Builder.finish: no root element";
-  let n = t.next_id in
-  let arr =
-    Array.init n (fun i ->
-        match Hashtbl.find_opt t.finished i with
-        | Some node -> node
-        | None -> invalid_arg "Builder.finish: missing node")
-  in
-  Document.of_nodes arr
+  Document.of_nodes (Array.sub t.nodes 0 t.next_id)

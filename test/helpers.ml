@@ -73,3 +73,43 @@ let contains haystack needle =
     else go (i + 1)
   in
   nn = 0 || go 0
+
+(* A seeded Mbench, DBLP or Pers document (chosen by [seed mod 3]) whose
+   text and attribute values are partly rewritten to hold &, <, > and
+   double quotes beside spaces: what the serializer must escape and the
+   parser must decode without dropping the spaces.  Texts carry no whitespace at their ends,
+   so they survive the parser's trimming under both indent modes;
+   attribute values keep theirs. *)
+let tricky_doc seed =
+  let open Sjos_datagen in
+  let rng = Rng.create (seed + 1) in
+  let target_nodes = 50 + Rng.int rng 400 in
+  let doc =
+    match seed mod 3 with
+    | 0 -> Mbench.generate ~seed ~target_nodes ()
+    | 1 -> Dblp.generate ~seed ~target_nodes ()
+    | _ -> Pers.generate ~seed ~target_nodes ()
+  in
+  let words =
+    [| "&"; "<"; ">"; "\""; "'"; "a&b"; "x<y>"; "&amp;"; "]]>"; "Tom"; "1" |]
+  and seps = [| " "; "  "; "\t"; "\n"; " \r\n " |] in
+  let pick a = a.(Rng.int rng (Array.length a)) in
+  let phrase () =
+    let n = 1 + Rng.int rng 4 in
+    let b = Buffer.create 32 in
+    for i = 1 to n do
+      if i > 1 then Buffer.add_string b (pick seps);
+      Buffer.add_string b (pick words)
+    done;
+    Buffer.contents b
+  in
+  let rewrite (n : Sjos_xml.Node.t) =
+    let text = if Rng.int rng 3 = 0 then phrase () else n.Sjos_xml.Node.text in
+    let attrs =
+      List.map
+        (fun (k, v) -> if Rng.int rng 3 = 0 then (k, " " ^ phrase () ^ " ") else (k, v))
+        n.Sjos_xml.Node.attrs
+    in
+    { n with Sjos_xml.Node.text; attrs }
+  in
+  Document.of_nodes (Array.map rewrite (Document.nodes doc))

@@ -2,6 +2,7 @@ let () =
   Alcotest.run "sjos"
     [
       ("xml", Test_xml.suite);
+      ("xml-fuzz", Test_xml_fuzz.suite);
       ("storage", Test_storage.suite);
       ("storage-extra", Test_storage_extra.suite);
       ("histogram", Test_histogram.suite);

@@ -71,11 +71,20 @@ let prop_nest_or_disjoint =
             nodes)
         nodes)
 
+(* Every Node.t field survives serialize-then-parse, under both indent
+   modes, for attribute-free random trees and for seeded Mbench, DBLP and
+   Pers documents whose text holds &, <, > and double quotes beside
+   spaces. *)
 let prop_parse_serialize_id =
   Helpers.qtest "parse . serialize = id" seed_gen (fun seed ->
-      let doc = random_doc seed in
-      let doc' = Parser.parse_string (Serializer.to_string ~indent:false doc) in
-      Document.nodes doc = Document.nodes doc')
+      List.for_all
+        (fun doc ->
+          List.for_all
+            (fun indent ->
+              let doc' = Parser.parse_string (Serializer.to_string ~indent doc) in
+              Document.nodes doc = Document.nodes doc')
+            [ false; true ])
+        [ random_doc seed; Helpers.tricky_doc seed ])
 
 let prop_executor_equals_naive =
   Helpers.qtest ~count:60 "optimized execution equals naive matching" seed_gen

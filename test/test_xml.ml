@@ -161,25 +161,103 @@ let test_parser_misc_markup () =
   check ci "nodes" 2 (Document.size doc);
   check cs "cdata text" "x<y" (Document.root doc).Node.text
 
-let expect_parse_error s =
-  match Parser.parse_string s with
-  | exception Parser.Parse_error _ -> ()
-  | _ -> Alcotest.fail ("expected parse error for: " ^ s)
+(* Exact (line, col, message) for every [fail] site of the parser.  Line
+   and column are 1-based and counted in bytes; only '\n' starts a line. *)
+let error_positions =
+  [
+    ("", 1, 1, "empty document");
+    ("   \n  ", 2, 3, "empty document");
+    ("plain text", 1, 1, "expected '<', found 'p'");
+    ("<>", 1, 2, "expected a name");
+    ("<a foo></a>", 1, 7, "expected '=', found '>'");
+    ("<a k=v/>", 1, 6, "expected quoted value");
+    ("<a k='v", 1, 8, "unterminated attribute value");
+    ("<a k='&bogus;'/>", 1, 14, "unknown entity &bogus;");
+    ("<a k=\"x\" k2></a>", 1, 12, "expected '=', found '>'");
+    ("<a>&amp</a>", 1, 12, "unterminated entity");
+    ("<a>&unknown;</a>", 1, 13, "unknown entity &unknown;");
+    ("<a>&#xZZ;</a>", 1, 10, "bad character reference &#xZZ;");
+    ("<a>&#12a;</a>", 1, 10, "bad character reference &#12a;");
+    ("<a>x &#99999999999999999999; y</a>", 1, 29,
+     "bad character reference &#99999999999999999999;");
+    ("<a>", 1, 4, "unterminated element <a>");
+    ("<a><b></a></b>", 1, 11, "mismatched </a>, expected </b>");
+    ("<a>\n  <b>\n  </c>\n</a>", 3, 7, "mismatched </c>, expected </b>");
+    ("<a></a><b></b>", 1, 8, "content after root element");
+    ("<a></a>\n\ntrailing", 3, 1, "content after root element");
+    ("<?xml version='1.0'", 1, 19, "unterminated ?>");
+    ("<!-- never closed", 1, 16, "unterminated -->");
+    ("<!DOCTYPE a", 1, 12, "unterminated >");
+    (* the position where "]]>" would have to start, from the byte offset *)
+    ("<a><![CDATA[x", 1, 13, "unterminated ]]>");
+    ("<a><!-- x</a>", 1, 12, "unterminated -->");
+    ("<a><!x></a>", 1, 10, "unterminated -->");
+    ("<a><?pi</a>", 1, 11, "unterminated ?>");
+    ("<a/", 1, 4, "expected '>', found '\\000'");
+    ("<a></a  x>", 1, 9, "expected '>', found 'x'");
+    ("<a></>", 1, 6, "expected a name");
+    ("<a>\r\n<b>&lt</b></a>", 2, 15, "unterminated entity");
+    ("<r>\n<x a='1'\n b='2' c></x></r>", 3, 9, "expected '=', found '>'");
+  ]
 
 let test_parser_errors () =
-  expect_parse_error "";
-  expect_parse_error "<a><b></a></b>";
-  expect_parse_error "<a>";
-  expect_parse_error "<a></a><b></b>";
-  expect_parse_error "<a foo></a>";
-  expect_parse_error "<a>&unknown;</a>";
-  expect_parse_error "plain text";
+  List.iter
+    (fun (input, line, col, message) ->
+      match Parser.parse_string input with
+      | exception Parser.Parse_error e ->
+          check
+            Alcotest.(triple int int string)
+            (Printf.sprintf "%S" input) (line, col, message)
+            (e.line, e.col, e.message)
+      | _ -> Alcotest.failf "expected a parse error for %S" input)
+    error_positions;
   check cb "error_to_string" true
     (Option.is_some
        (Parser.error_to_string
           (Parser.Parse_error { line = 1; col = 2; message = "m" })));
   check cb "error_to_string other" true
     (Option.is_none (Parser.error_to_string Exit))
+
+let test_parser_text_around_references () =
+  let text s = (Document.root (Parser.parse_string s)).Node.text in
+  check cs "spaces beside a reference" "Tom & Jerry"
+    (text "<r>Tom &amp; Jerry</r>");
+  check cs "run trimmed at its raw ends" "a < b > c"
+    (text "<r>\n  a &lt; b &gt; c \n</r>");
+  check cs "decoded spaces are kept" " x "
+    (text "<r> &#32;x&#x20; </r>");
+  check cs "runs split by markup" "x& y" (text "<r>x <b/> &amp; y</r>");
+  check cs "reference-only run" "&" (text "<r>  &amp;  </r>");
+  check cs "cdata kept verbatim" "a b c" (text "<r>a<![CDATA[ b ]]>c</r>")
+
+(* Allocation gates: the scanner allocates per node and per name, not per
+   byte, so a large document and a long comment stay cheap. *)
+let alloc_during f =
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  (r, Gc.allocated_bytes () -. before)
+
+let test_parser_alloc_per_byte () =
+  let src =
+    Serializer.to_string
+      (Sjos_datagen.Mbench.generate ~seed:3 ~target_nodes:100_000 ())
+  in
+  let doc, bytes = alloc_during (fun () -> Parser.parse_string src) in
+  check ci "all nodes parsed" 100_000 (Document.size doc);
+  let per_byte = bytes /. float (String.length src) in
+  if per_byte > 12.0 then
+    Alcotest.failf "parse allocated %.2f bytes per input byte (limit 12)"
+      per_byte
+
+let test_parser_alloc_comment () =
+  let body = String.make 1_000_000 'x' in
+  List.iter
+    (fun src ->
+      let doc, bytes = alloc_during (fun () -> Parser.parse_string src) in
+      check ci "one element" 1 (Document.size doc);
+      if bytes >= float (String.length body) then
+        Alcotest.failf "a 1 MB comment cost %.0f bytes of allocation" bytes)
+    [ "<!--" ^ body ^ "--><r/>"; "<r><!--" ^ body ^ "--></r>" ]
 
 let test_parse_serialize_roundtrip () =
   let original = Lazy.force Helpers.tiny_pers in
@@ -260,6 +338,9 @@ let suite =
     ("parser entities", `Quick, test_parser_entities);
     ("parser misc markup", `Quick, test_parser_misc_markup);
     ("parser errors", `Quick, test_parser_errors);
+    ("parser text around references", `Quick, test_parser_text_around_references);
+    ("parser allocation per input byte", `Quick, test_parser_alloc_per_byte);
+    ("parser allocation on a long comment", `Quick, test_parser_alloc_comment);
     ("parse/serialize roundtrip", `Quick, test_parse_serialize_roundtrip);
     ("serializer escaping", `Quick, test_serializer_escaping);
     ("serializer subtree", `Quick, test_serializer_subtree);
