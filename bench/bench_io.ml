@@ -3,8 +3,8 @@
    Four deterministic gates:
 
    1. Differential — every workload query run Mem and Disk must produce
-      identical tuples, identical executor metrics, and identical Work
-      counters modulo the IO fields (io_items stays equal; only
+      identical tuples and identical Work counters (per executor run and
+      per query) modulo the IO fields (io_items stays equal; only
       page_touches may differ).  Table 2's plan counters must also come
       out exact (520/226/163/69/42/18) — optimizer state is storage-
       independent by construction.
@@ -70,16 +70,6 @@ let tuples_equal (a : Tuple.t array) (b : Tuple.t array) =
   Array.iteri (fun i t -> if not (Tuple.equal t b.(i)) then ok := false) a;
   !ok
 
-let metrics_equal (a : Metrics.t) (b : Metrics.t) =
-  a.Metrics.index_items = b.Metrics.index_items
-  && a.Metrics.stack_ops = b.Metrics.stack_ops
-  && a.Metrics.io_items = b.Metrics.io_items
-  && a.Metrics.sorted_items = b.Metrics.sorted_items
-  && a.Metrics.output_tuples = b.Metrics.output_tuples
-  && a.Metrics.skipped_items = b.Metrics.skipped_items
-  && a.Metrics.joins = b.Metrics.joins
-  && a.Metrics.sorts = b.Metrics.sorts
-
 let misses db =
   match Column_store.io_stats (Database.store db) with
   | Some s -> s.Pager.misses
@@ -119,8 +109,8 @@ let diff_query (query : Workload.query) =
   let identical =
     tuples_equal rm.Database.exec.Executor.tuples
       rd.Database.exec.Executor.tuples
-    && metrics_equal rm.Database.exec.Executor.metrics
-         rd.Database.exec.Executor.metrics
+    && Work.equal_mod_io rm.Database.exec.Executor.work
+         rd.Database.exec.Executor.work
     && Work.equal_mod_io wm wd
     && Work.core_score wm = Work.core_score wd
     && wm.Work.io_items = wd.Work.io_items
@@ -202,8 +192,7 @@ let savings_query (query : Workload.query) =
     sid = query.Workload.id;
     lazy_misses;
     full_misses;
-    skipped_items =
-      run.Database.exec.Executor.metrics.Metrics.skipped_items;
+    skipped_items = run.Database.exec.Executor.work.Work.items_skipped;
   }
 
 (* the deep-chain pure-tag queries: every label is a plain tag test, so

@@ -76,18 +76,6 @@ let tuples_equal (a : Tuple.t array) (b : Tuple.t array) =
   Array.iteri (fun i t -> if not (Tuple.equal t b.(i)) then ok := false) a;
   !ok
 
-(* Every field, skipped_items included: parallel shards must reproduce
-   the serial accounting exactly, not just the result set. *)
-let metrics_equal (a : Metrics.t) (b : Metrics.t) =
-  a.Metrics.index_items = b.Metrics.index_items
-  && a.Metrics.stack_ops = b.Metrics.stack_ops
-  && a.Metrics.io_items = b.Metrics.io_items
-  && a.Metrics.sorted_items = b.Metrics.sorted_items
-  && a.Metrics.output_tuples = b.Metrics.output_tuples
-  && a.Metrics.skipped_items = b.Metrics.skipped_items
-  && a.Metrics.joins = b.Metrics.joins
-  && a.Metrics.sorts = b.Metrics.sorts
-
 (* Cold options: every timed run re-optimizes and re-executes the same
    work, and plans_considered stays comparable across runs. *)
 let opts = Query_opts.make ~use_cache:false ()
@@ -102,8 +90,11 @@ let workload_identical reference run =
          String.equal q.Workload.id q'.Workload.id
          && tuples_equal a.Database.exec.Executor.tuples
               b.Database.exec.Executor.tuples
-         && metrics_equal a.Database.exec.Executor.metrics
-              b.Database.exec.Executor.metrics)
+         (* every counter, items_skipped included: parallel shards must
+            reproduce the serial accounting exactly, not just the result
+            set *)
+         && Work.equal a.Database.exec.Executor.work
+              b.Database.exec.Executor.work)
        reference run
 
 let time_best pool =

@@ -73,29 +73,11 @@ let tuples_equal (a : Tuple.t array) (b : Tuple.t array) =
   Array.iteri (fun i t -> if not (Tuple.equal t b.(i)) then ok := false) a;
   !ok
 
-(* skipped_items excluded: the legacy engine never skips. *)
-let metrics_equal (a : Metrics.t) (b : Metrics.t) =
-  a.Metrics.index_items = b.Metrics.index_items
-  && a.Metrics.stack_ops = b.Metrics.stack_ops
-  && a.Metrics.io_items = b.Metrics.io_items
-  && a.Metrics.sorted_items = b.Metrics.sorted_items
-  && a.Metrics.output_tuples = b.Metrics.output_tuples
-  && a.Metrics.joins = b.Metrics.joins
-  && a.Metrics.sorts = b.Metrics.sorts
-
 (* Engine-invariant work equality: items_skipped is the one counter the
    two engines legitimately disagree on (only the columnar kernels
-   skip), so it is excluded here — everything else must match. *)
+   skip), so it is zeroed — everything else must match. *)
 let work_equal_mod_skips (a : Work.t) (b : Work.t) =
-  a.Work.comparisons = b.Work.comparisons
-  && a.Work.tuples_emitted = b.Work.tuples_emitted
-  && a.Work.candidates_scanned = b.Work.candidates_scanned
-  && a.Work.stack_ops = b.Work.stack_ops
-  && a.Work.io_items = b.Work.io_items
-  && a.Work.sorted_items = b.Work.sorted_items
-  && a.Work.expansions = b.Work.expansions
-  && a.Work.plans_considered = b.Work.plans_considered
-  && a.Work.page_touches = b.Work.page_touches
+  Work.equal { a with Work.items_skipped = 0 } { b with Work.items_skipped = 0 }
 
 type row = {
   id : string;
@@ -136,7 +118,7 @@ let bench_query (query : Workload.query) =
   let columnar_work, columnar_run = accounted `Columnar in
   let identical =
     tuples_equal legacy_run.Executor.tuples columnar_run.Executor.tuples
-    && metrics_equal legacy_run.Executor.metrics columnar_run.Executor.metrics
+    && work_equal_mod_skips legacy_run.Executor.work columnar_run.Executor.work
   in
   let work_identical = work_equal_mod_skips legacy_work columnar_work in
   (* bit-determinism across repeat runs is the property the perf-history
@@ -200,7 +182,7 @@ let bench_query (query : Workload.query) =
     columnar_bytes = allocated `Columnar;
     legacy_work;
     columnar_work;
-    skipped_items = columnar_run.Executor.metrics.Metrics.skipped_items;
+    skipped_items = columnar_run.Executor.work.Work.items_skipped;
     identical;
     work_identical;
     repeat_deterministic;

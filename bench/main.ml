@@ -256,18 +256,15 @@ let ablation_holistic () =
         Experiment.run_cell ~opts:(Experiment.cold_opts Optimizer.Dpp) db
           q.Workload.pattern
       in
-      let metrics = Sjos_exec.Metrics.create () in
       let is_path = Sjos_pattern.Pattern.is_path q.Workload.pattern in
-      let out =
-        if is_path then
-          Sjos_exec.Path_stack.run ~metrics (Database.index db)
-            q.Workload.pattern
-        else
-          Sjos_exec.Twig_join.run ~metrics (Database.index db)
-            q.Workload.pattern
+      let out, work =
+        Sjos_obs.Work.measure (fun () ->
+            if is_path then
+              Sjos_exec.Path_stack.run (Database.index db) q.Workload.pattern
+            else Sjos_exec.Twig_join.run (Database.index db) q.Workload.pattern)
       in
       let holistic_units =
-        Sjos_exec.Metrics.cost_units (Database.factors db) metrics
+        Sjos_exec.Executor.cost_units (Database.factors db) work
       in
       Printf.printf "%-14s | %-9s | %14.1f | %14.1f | %10d\n" q.Workload.id
         (if is_path then "PathStack" else "TwigStack")
@@ -286,26 +283,26 @@ let ablation_mpmgjn () =
     (fun size ->
       let doc = Workload.generate ~size Workload.Pers in
       let idx = Sjos_storage.Element_index.build doc in
-      let scan m slot tag =
-        Sjos_exec.Operators.index_scan ~metrics:m ~width:2 ~slot
+      let scan slot tag =
+        Sjos_exec.Operators.index_scan ~width:2 ~slot
           (Sjos_storage.Element_index.lookup idx tag)
       in
-      let m1 = Sjos_exec.Metrics.create () in
-      let st =
-        Sjos_exec.Stack_tree.join ~metrics:m1 ~doc
-          ~axis:Sjos_xml.Axes.Descendant ~algo:Sjos_plan.Plan.Stack_tree_desc
-          ~anc:(scan m1 0 "manager", 0)
-          ~desc:(scan m1 1 "name", 1)
-          ()
+      let st, w1 =
+        Sjos_obs.Work.measure (fun () ->
+            Sjos_exec.Stack_tree.join ~doc ~axis:Sjos_xml.Axes.Descendant
+              ~algo:Sjos_plan.Plan.Stack_tree_desc
+              ~anc:(scan 0 "manager", 0)
+              ~desc:(scan 1 "name", 1)
+              ())
       in
-      let m2 = Sjos_exec.Metrics.create () in
-      ignore
-        (Sjos_exec.Merge_join.join ~metrics:m2 ~doc
-           ~axis:Sjos_xml.Axes.Descendant
-           ~anc:(scan m2 0 "manager", 0)
-           ~desc:(scan m2 1 "name", 1));
+      let _, w2 =
+        Sjos_obs.Work.measure (fun () ->
+            Sjos_exec.Merge_join.join ~doc ~axis:Sjos_xml.Axes.Descendant
+              ~anc:(scan 0 "manager", 0)
+              ~desc:(scan 1 "name", 1))
+      in
       Printf.printf "%-10d | %12d | %12d | %10d\n" size
-        m1.Sjos_exec.Metrics.stack_ops m2.Sjos_exec.Metrics.stack_ops
+        w1.Sjos_obs.Work.stack_ops w2.Sjos_obs.Work.stack_ops
         (Array.length st))
     [ scaled 1_000; scaled 4_000; scaled 16_000 ]
 
@@ -393,7 +390,7 @@ let extension_estimation () =
       let actual =
         float_of_int
           (Array.length
-             (Database.run_query db pat).Database.exec
+             (Database.run db pat).Database.exec
                .Sjos_exec.Executor.tuples)
       in
       Printf.printf "%-14s | %12.0f | %12.0f | %8.2f\n" q.Workload.id est
@@ -449,10 +446,12 @@ let extension_calibration () =
             with
             | cell when cell.Experiment.matches >= 0 ->
                 let run =
-                  Database.run_query ~algorithm:algo db q.Workload.pattern
+                  Database.run
+                    ~opts:(Query_opts.make ~algorithm:algo ())
+                    db q.Workload.pattern
                 in
                 Some
-                  ( run.Database.exec.Sjos_exec.Executor.metrics,
+                  ( run.Database.exec.Sjos_exec.Executor.work,
                     run.Database.exec.Sjos_exec.Executor.seconds )
             | _ | (exception _) -> None)
           [ Optimizer.Dpp; Optimizer.Fp; Optimizer.Dpap_ld ])

@@ -379,8 +379,7 @@ let query_cmd =
           ( "optimizer",
             Sjos_core.Optimizer.result_to_json p run.Database.opt );
           ( "metrics",
-            Sjos_exec.Metrics.to_json
-              run.Database.exec.Sjos_exec.Executor.metrics );
+            Sjos_obs.Work.to_json run.Database.exec.Sjos_exec.Executor.work );
           ("io", io_stats_json db);
         ]
       in
@@ -400,8 +399,8 @@ let query_cmd =
         (run.Database.opt.Sjos_core.Optimizer.opt_seconds *. 1000.)
         run.Database.opt.Sjos_core.Optimizer.plans_considered
         (Sjos_pattern.Fingerprint.short (Database.prepared_fingerprint prep));
-      Fmt.pr "execution: %a@." Sjos_exec.Metrics.pp
-        run.Database.exec.Sjos_exec.Executor.metrics;
+      Fmt.pr "execution: %a@." Sjos_obs.Work.pp
+        run.Database.exec.Sjos_exec.Executor.work;
       let doc = Database.document db in
       Array.iteri
         (fun i tuple ->
@@ -450,7 +449,8 @@ let explain_cmd =
     guarded @@ fun () ->
     let db = Database.load_file file in
     let p = parse_pattern ~xpath pattern in
-    Fmt.pr "%s@." (Database.explain ~algorithm ~engine db p)
+    let opts = Query_opts.make ~algorithm ~engine () in
+    Fmt.pr "%s@." (Database.explain_prepared (Database.prepare ~opts db p))
   in
   Cmd.v
     (Cmd.info "explain" ~doc:"Show the plan the optimizer picks")
@@ -489,8 +489,7 @@ let analyze_cmd =
           ("exec_seconds", Float exec.Sjos_exec.Executor.seconds);
           ("optimizer", Sjos_core.Optimizer.result_to_json p a.Database.opt);
           ("operators", Sjos_plan.Explain.analysis_to_json p a.Database.rows);
-          ( "metrics",
-            Sjos_exec.Metrics.to_json exec.Sjos_exec.Executor.metrics );
+          ("metrics", Sjos_obs.Work.to_json exec.Sjos_exec.Executor.work);
           ("io", io_stats_json db);
         ]
       in

@@ -57,8 +57,8 @@ let () =
         author.Sjos_xml.Node.text)
     run.exec.Sjos_exec.Executor.tuples;
 
-  Fmt.pr "@.Execution metrics: %a@." Sjos_exec.Metrics.pp
-    run.exec.Sjos_exec.Executor.metrics;
+  Fmt.pr "@.Execution work: %a@." Sjos_obs.Work.pp
+    run.exec.Sjos_exec.Executor.work;
 
   (* 5. run it again: the plan comes from the cache — zero search effort *)
   let again = Database.run db pattern in

@@ -390,16 +390,3 @@ let exec_r p = Error.protect (fun () -> exec p)
 let run_r ?opts t pat = Error.protect (fun () -> run ?opts t pat)
 let analyze_prepared_r p = Error.protect (fun () -> analyze_prepared p)
 
-let run_query ?algorithm ?engine ?max_tuples t pat =
-  run ~opts:(Query_opts.make ?algorithm ?engine ?max_tuples ()) t pat
-
-let optimize ?algorithm ?engine t pat =
-  let opts = Query_opts.make ?algorithm ?engine ~use_cache:false () in
-  (prepare ~opts t pat).presult
-
-let explain ?algorithm ?engine t pat =
-  explain_prepared (prepare ~opts:(Query_opts.make ?algorithm ?engine ()) t pat)
-
-let analyze ?algorithm ?engine ?max_tuples t pat =
-  analyze_prepared
-    (prepare ~opts:(Query_opts.make ?algorithm ?engine ?max_tuples ()) t pat)

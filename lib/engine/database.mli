@@ -19,10 +19,7 @@
         (Database.prepared_fingerprint p)
     ]}
 
-    Per-query knobs travel in a {!Query_opts.t}.  The [?algorithm] /
-    [?max_tuples] entry points further down are retained for source
-    compatibility but are {b deprecated}: they are thin wrappers over
-    [prepare] and will be removed in a future release. *)
+    Per-query knobs travel in a {!Query_opts.t}. *)
 
 open Sjos_xml
 open Sjos_storage
@@ -209,42 +206,3 @@ val run_r :
     [(run.opt).degraded_from] to detect it. *)
 
 val analyze_prepared_r : prepared -> (analysis, Sjos_guard.Error.t) result
-
-(** {1 Deprecated one-shot wrappers}
-
-    Thin veneers over {!prepare} kept for one release so existing callers
-    keep compiling; prefer {!run} / {!prepare} with a {!Query_opts.t}. *)
-
-val optimize :
-  ?algorithm:Optimizer.algorithm ->
-  ?engine:Optimizer.engine ->
-  t ->
-  Pattern.t ->
-  Optimizer.result
-(** Pick a plan with a {e fresh} search — never consults the plan cache, so
-    effort counters are always the true search cost (Table 2 relies on
-    this).  Default algorithm is [Dpp].  {b Deprecated}: use
-    [prepare ~opts:(Query_opts.make ~use_cache:false ())]. *)
-
-val run_query :
-  ?algorithm:Optimizer.algorithm ->
-  ?engine:Optimizer.engine ->
-  ?max_tuples:int ->
-  t ->
-  Pattern.t ->
-  query_run
-(** Optimize (through the cache) then execute.  {b Deprecated}: use
-    {!run}. *)
-
-val explain :
-  ?algorithm:Optimizer.algorithm -> ?engine:Optimizer.engine -> t -> Pattern.t -> string
-(** {b Deprecated}: use {!prepare} + {!explain_prepared}. *)
-
-val analyze :
-  ?algorithm:Optimizer.algorithm ->
-  ?engine:Optimizer.engine ->
-  ?max_tuples:int ->
-  t ->
-  Pattern.t ->
-  analysis
-(** {b Deprecated}: use {!prepare} + {!analyze_prepared}. *)

@@ -55,7 +55,7 @@ val run_all :
   (query * Database.query_run) array
 (** Run all eight queries, fanned out across the pool (one task per
     query) — results come back in {!queries} order regardless of domain
-    scheduling, and each run's tuples and metrics are bit-identical to
+    scheduling, and each run's tuples and work are bit-identical to
     the serial loop.  [db_for] is called, and the databases warmed
     ({!Database.warm}), serially before the fan-out.  [pool] defaults to
     [opts.pool], then {!Sjos_par.Pool.get_default}; the queries carry

@@ -1,14 +1,15 @@
 open Sjos_cost
+module Work = Sjos_obs.Work
 
-let features (m : Metrics.t) =
+let features (w : Work.t) =
   [|
-    float_of_int m.Metrics.index_items;
-    m.Metrics.sort_cost;
-    float_of_int m.Metrics.io_items;
-    float_of_int m.Metrics.stack_ops;
+    float_of_int w.Work.candidates_scanned;
+    w.Work.sort_cost;
+    float_of_int w.Work.io_items;
+    float_of_int w.Work.stack_ops;
   |]
 
-let predict f m = Metrics.cost_units f m
+let predict = Executor.cost_units
 
 (* Solve the 4x4 normal equations (X^T X) b = X^T y by Gaussian elimination
    with partial pivoting; returns None when the system is singular. *)
@@ -51,7 +52,7 @@ let fallback observations =
   let predicted, actual =
     List.fold_left
       (fun (p, a) (m, seconds) ->
-        (p +. Metrics.cost_units Cost_model.default m, a +. seconds))
+        (p +. predict Cost_model.default m, a +. seconds))
       (0.0, 0.0) observations
   in
   let scale = if predicted > 0.0 then actual /. predicted else 1.0 in

@@ -13,17 +13,18 @@
 
 open Sjos_cost
 
-val fit : (Metrics.t * float) list -> Cost_model.factors
+val fit : (Sjos_obs.Work.t * float) list -> Cost_model.factors
 (** [fit observations] — least-squares factors from
     [(counters, measured seconds)] pairs.  Needs at least 4 observations
     with linearly independent counter vectors; degenerate systems fall back
     to {!Cost_model.default} proportions scaled to match total time.
     Raises [Invalid_argument] on an empty observation list. *)
 
-val predict : Cost_model.factors -> Metrics.t -> float
+val predict : Cost_model.factors -> Sjos_obs.Work.t -> float
 (** The model's prediction for an execution with the given counters
-    (equal to {!Metrics.cost_units}). *)
+    (equal to {!Executor.cost_units}). *)
 
-val mean_relative_error : Cost_model.factors -> (Metrics.t * float) list -> float
+val mean_relative_error :
+  Cost_model.factors -> (Sjos_obs.Work.t * float) list -> float
 (** Average of [|predicted - actual| / actual] over observations with
     [actual > 0]. *)

@@ -9,11 +9,17 @@ type kernel = [ `Columnar | `Legacy ]
 
 type run = {
   tuples : Tuple.t array;
-  metrics : Metrics.t;
+  work : Work.t;
   cost_units : float;
   seconds : float;
   profile : Explain.measured;
 }
+
+let cost_units (f : Cost_model.factors) (w : Work.t) =
+  (f.Cost_model.f_index *. float_of_int w.Work.candidates_scanned)
+  +. (f.Cost_model.f_stack *. float_of_int w.Work.stack_ops)
+  +. (f.Cost_model.f_io *. float_of_int w.Work.io_items)
+  +. (f.Cost_model.f_sort *. w.Work.sort_cost)
 
 let op_span_name = function
   | Plan.Index_scan _ -> "exec.index_scan"
@@ -62,17 +68,17 @@ let verify_document_order ~doc ~what candidates =
 
 (* One physical engine = how each operator runs and how rows are counted.
    The two instantiations (columnar batches, legacy tuple arrays) share
-   the interpreter below, so spans, per-operator metrics and the run
+   the interpreter below, so spans, per-operator work and the run
    profile are produced identically by both.  [root_join] runs the
    plan's outermost join straight to the caller-facing tuple format —
    for the columnar engine that skips one full materialization of the
    (often dominant) root output. *)
 type 'r engine = {
-  scan : Metrics.t -> int -> 'r;
-  sort_op : Metrics.t -> int -> 'r -> 'r;
-  join_op : Metrics.t -> Pattern.edge -> Plan.algo -> 'r -> 'r -> 'r;
-  root_join : Metrics.t -> Pattern.edge -> Plan.algo -> 'r -> 'r -> Tuple.t array;
-  twig : Metrics.t -> 'r;
+  scan : int -> 'r;
+  sort_op : int -> 'r -> 'r;
+  join_op : Pattern.edge -> Plan.algo -> 'r -> 'r -> 'r;
+  root_join : Pattern.edge -> Plan.algo -> 'r -> 'r -> Tuple.t array;
+  twig : unit -> 'r;
       (** the holistic operator: candidate acquisition (and its
           accounting) is the engine's own business, so it appears as one
           leaf operator in spans and the run profile *)
@@ -106,7 +112,7 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
   in
   let doc = Element_index.document index in
   let width = Pattern.node_count pat in
-  let metrics = Metrics.create () in
+  let total = Work.zero () in
   let candidates_for i =
     let spec = Pattern.label pat i in
     match fetch with
@@ -117,43 +123,42 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
           (f spec)
   in
   let t0 = Clock.now_ns () in
-  (* Each operator gets its own metrics and its own (monotonic) self time,
-     so the run profile prices every operator separately; the per-operator
-     metrics are folded into the run total afterwards. *)
+  (* Each operator gets its own work scope and its own (monotonic) self
+     time, so the run profile prices every operator separately; each
+     operator's work is absorbed back into the calling domain and summed
+     into the run total. *)
   let run_with : type r. r engine -> Tuple.t array * Explain.measured =
    fun eng ->
     let check_output r =
       Budget.check_tuples budget ~during:"execute" ~count:(eng.rows r);
       r
     in
-    (* [measure] owns the span/metrics/profile bookkeeping; it is
+    (* [measure] owns the span/work/profile bookkeeping; it is
        polymorphic in the produced value so the root operator can produce
        the caller-facing tuple array while interior operators stay in the
        engine's row representation. *)
     let rec eval plan : r * Explain.measured =
       match plan with
       | Plan.Index_scan i ->
-          measure plan [] (fun own _ -> check_output (eng.scan own i)) eng.rows
+          measure plan [] (fun _ -> check_output (eng.scan i)) eng.rows
       | Plan.Sort { input; by } ->
           measure plan [ input ]
-            (fun own -> function
-              | [ (r, _) ] -> eng.sort_op own by r
-              | _ -> assert false)
+            (function [ (r, _) ] -> eng.sort_op by r | _ -> assert false)
             eng.rows
       | Plan.Structural_join { anc_side; desc_side; edge; algo } ->
           measure plan
             [ anc_side; desc_side ]
-            (fun own -> function
-              | [ (a, _); (d, _) ] -> check_output (eng.join_op own edge algo a d)
+            (function
+              | [ (a, _); (d, _) ] -> check_output (eng.join_op edge algo a d)
               | _ -> assert false)
             eng.rows
       | Plan.Holistic _ ->
-          measure plan [] (fun own _ -> check_output (eng.twig own)) eng.rows
+          measure plan [] (fun _ -> check_output (eng.twig ())) eng.rows
     and measure :
         'a.
         Plan.t ->
         Plan.t list ->
-        (Metrics.t -> (r * Explain.measured) list -> 'a) ->
+        ((r * Explain.measured) list -> 'a) ->
         ('a -> int) ->
         'a * Explain.measured =
      fun plan inputs apply rows_of ->
@@ -164,22 +169,22 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
         (* left-to-right: ancestor side before descendant side *)
         List.rev (List.fold_left (fun acc p -> eval p :: acc) [] inputs)
       in
-      let own = Metrics.create () in
       let op_t0 = Clock.now_ns () in
-      let r = apply own child_results in
+      (* the operator's own work, children excluded; absorbed back even
+         when the operator raises, so an aborted run keeps its partial
+         work *)
+      let r, own = Work.measure (fun () -> apply child_results) in
       let seconds = Clock.elapsed_seconds ~since:op_t0 in
+      let units = cost_units factors own in
       Trace.end_span span
         ~attrs:
-          [
-            ("rows", Json.Int (rows_of r));
-            ("cost_units", Json.Float (Metrics.cost_units factors own));
-          ];
-      Metrics.add metrics own;
+          [ ("rows", Json.Int (rows_of r)); ("cost_units", Json.Float units) ];
+      Work.merge_into total own;
       ( r,
         {
           Explain.mplan = plan;
           rows = rows_of r;
-          units = Metrics.cost_units factors own;
+          units;
           seconds;
           inputs = List.map snd child_results;
         } )
@@ -188,9 +193,9 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
     | Plan.Structural_join { anc_side; desc_side; edge; algo } ->
         measure plan
           [ anc_side; desc_side ]
-          (fun own -> function
+          (function
             | [ (a, _); (d, _) ] ->
-                let tuples = eng.root_join own edge algo a d in
+                let tuples = eng.root_join edge algo a d in
                 Budget.check_tuples budget ~during:"execute"
                   ~count:(Array.length tuples);
                 tuples
@@ -209,12 +214,12 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
            are ever read.  Scan accounting is identical either way — one
            index item per candidate, leaf length answered from the
            catalog. *)
-        let scan_input own i =
+        let scan_input i =
           let spec = Pattern.label pat i in
           match fetch with
           | Some f ->
               Stack_tree.Rows
-                (Operators.index_scan_batch ~metrics:own ~width ~slot:i
+                (Operators.index_scan_batch ~width ~slot:i
                    (Sjos_xml.Cols.of_nodes
                       (verify_document_order ~doc
                          ~what:
@@ -224,40 +229,40 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
           | None -> (
               match Column_store.leaf store spec with
               | Some lf ->
-                  own.Metrics.index_items <-
-                    own.Metrics.index_items + Column_store.leaf_length lf;
+                  let w = Work.current () in
+                  w.Work.candidates_scanned <-
+                    w.Work.candidates_scanned + Column_store.leaf_length lf;
                   Stack_tree.leaf ~width ~slot:i lf
               | None ->
                   Stack_tree.Rows
-                    (Operators.index_scan_batch ~metrics:own ~width ~slot:i
+                    (Operators.index_scan_batch ~width ~slot:i
                        (Column_store.select store spec)))
         in
         run_with
           {
             scan = scan_input;
             sort_op =
-              (fun own by r ->
+              (fun by r ->
                 Stack_tree.Rows
-                  (Operators.sort_batch ~budget ~metrics:own ~doc ~by
+                  (Operators.sort_batch ~budget ~doc ~by
                      (Stack_tree.to_batch r)));
             join_op =
-              (fun own edge algo a d ->
+              (fun edge algo a d ->
                 Stack_tree.Rows
-                  (Stack_tree.join_batch_in ~budget ~pool ~metrics:own ~doc
+                  (Stack_tree.join_batch_in ~budget ~pool ~doc
                      ~axis:edge.Pattern.axis ~algo
                      ~anc:(a, edge.Pattern.anc)
                      ~desc:(d, edge.Pattern.desc) ()));
             root_join =
-              (fun own edge algo a d ->
-                Stack_tree.join_root_in ~budget ~pool ~metrics:own ~doc
+              (fun edge algo a d ->
+                Stack_tree.join_root_in ~budget ~pool ~doc
                   ~axis:edge.Pattern.axis ~algo
                   ~anc:(a, edge.Pattern.anc)
                   ~desc:(d, edge.Pattern.desc) ());
             twig =
-              (fun own ->
-                let inputs = Array.init width (fun i -> scan_input own i) in
-                Stack_tree.Rows
-                  (Twig_stack.run ~budget ~metrics:own ~doc ~pat ~inputs ()));
+              (fun () ->
+                let inputs = Array.init width scan_input in
+                Stack_tree.Rows (Twig_stack.run ~budget ~doc ~pat ~inputs ()));
             rows = Stack_tree.input_rows;
             to_tuples = (fun r -> Batch.to_tuples (Stack_tree.to_batch r));
           }
@@ -265,33 +270,30 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
         run_with
           {
             scan =
-              (fun own i ->
-                Operators.index_scan ~metrics:own ~width ~slot:i
-                  (candidates_for i));
+              (fun i -> Operators.index_scan ~width ~slot:i (candidates_for i));
             sort_op =
-              (fun own by tuples ->
-                Operators.sort_legacy ~budget ~metrics:own ~doc ~by tuples);
+              (fun by tuples -> Operators.sort_legacy ~budget ~doc ~by tuples);
             join_op =
-              (fun own edge algo a d ->
-                Stack_tree_legacy.join ~budget ~metrics:own ~doc
+              (fun edge algo a d ->
+                Stack_tree_legacy.join ~budget ~doc
                   ~axis:edge.Pattern.axis ~algo
                   ~anc:(a, edge.Pattern.anc)
                   ~desc:(d, edge.Pattern.desc) ());
             root_join =
-              (fun own edge algo a d ->
-                Stack_tree_legacy.join ~budget ~metrics:own ~doc
+              (fun edge algo a d ->
+                Stack_tree_legacy.join ~budget ~doc
                   ~axis:edge.Pattern.axis ~algo
                   ~anc:(a, edge.Pattern.anc)
                   ~desc:(d, edge.Pattern.desc) ());
             twig =
-              (fun own ->
+              (fun () ->
                 let tuples =
                   Twig_join.run ~budget
                     ?candidates:
                       (match fetch with
                       | None -> None
                       | Some _ -> Some candidates_for)
-                    ~metrics:own index pat
+                    index pat
                 in
                 (* canonical order parity with the columnar kernel:
                    lexicographic by slot value (presentation-only, so
@@ -314,26 +316,14 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
           }
   in
   let seconds = Clock.elapsed_seconds ~since:t0 in
-  (* Fold the run's differential metrics into the deterministic work
-     accumulator.  [metrics] already holds the merged totals from every
-     operator and shard (integer sums, partition-invariant), so a single
-     end-of-run fold keeps the counters engine- and domain-independent. *)
-  let w = Work.current () in
-  w.Work.candidates_scanned <-
-    w.Work.candidates_scanned + metrics.Metrics.index_items;
-  w.Work.tuples_emitted <- w.Work.tuples_emitted + metrics.Metrics.output_tuples;
-  w.Work.items_skipped <- w.Work.items_skipped + metrics.Metrics.skipped_items;
-  w.Work.stack_ops <- w.Work.stack_ops + metrics.Metrics.stack_ops;
-  w.Work.io_items <- w.Work.io_items + metrics.Metrics.io_items;
-  w.Work.sorted_items <- w.Work.sorted_items + metrics.Metrics.sorted_items;
   if Registry.enabled () then begin
     Registry.add_seconds (Registry.timer "executor.seconds") seconds;
     Registry.add (Registry.counter "executor.output_tuples") (Array.length tuples)
   end;
   {
     tuples;
-    metrics;
-    cost_units = Metrics.cost_units factors metrics;
+    work = total;
+    cost_units = cost_units factors total;
     seconds;
     profile;
   }

@@ -13,17 +13,25 @@ type kernel = [ `Columnar | `Legacy ]
     {!Operators.sort_legacy}) — kept as the measured baseline for
     [bench/bench_perf] and the differential tests.  Both engines produce
     identical tuples, profiles and counters (modulo
-    {!Metrics.t.skipped_items}). *)
+    {!Sjos_obs.Work.t.items_skipped}). *)
 
 type run = {
   tuples : Tuple.t array;  (** the pattern matches, one tuple per match *)
-  metrics : Metrics.t;  (** accumulated operation counts *)
-  cost_units : float;  (** metrics weighted by the cost-model factors *)
+  work : Sjos_obs.Work.t;
+      (** the work the plan's operators charged, summed over operators
+          (and over shards of a pooled join) *)
+  cost_units : float;  (** {!cost_units} of [work] *)
   seconds : float;  (** monotonic wall-clock execution time *)
   profile : Explain.measured;
       (** per-operator actual rows, cost units and self time — feed to
           {!Sjos_plan.Explain.analyze} for EXPLAIN ANALYZE *)
 }
+
+val cost_units : Sjos_cost.Cost_model.factors -> Sjos_obs.Work.t -> float
+(** Work weighted by the cost model:
+    [f_index*candidates_scanned + f_stack*stack_ops + f_io*io_items
+    + f_sort*sort_cost] — directly comparable with the optimizer's
+    estimates, independent of the host machine. *)
 
 val execute :
   ?factors:Sjos_cost.Cost_model.factors ->
@@ -64,6 +72,10 @@ val execute :
     segments.  Outputs and all counters except page/IO accounting are
     backend-independent.  Raises [Invalid_argument] if the store was
     built over a different index.
+
+    Every operator charges the calling domain's {!Sjos_obs.Work}
+    accumulator as it runs, also when the run aborts, so a
+    budget-exhausted run leaves its partial work there too.
 
     [fetch] overrides where candidate streams come from (fault
     injection, plan hints, alternative storage tiers).  Externally

@@ -29,9 +29,9 @@ let group_by_slot doc tuples slot =
   flush ();
   Array.of_list (List.rev !groups)
 
-let join ~metrics ~doc ~axis ~anc:(anc_tuples, anc_slot)
-    ~desc:(desc_tuples, desc_slot) =
-  metrics.Metrics.joins <- metrics.Metrics.joins + 1;
+let join ~doc ~axis ~anc:(anc_tuples, anc_slot) ~desc:(desc_tuples, desc_slot)
+    =
+  let work = Sjos_obs.Work.current () in
   let ag = group_by_slot doc anc_tuples anc_slot in
   let dg = group_by_slot doc desc_tuples desc_slot in
   let nd = Array.length dg in
@@ -47,7 +47,7 @@ let join ~metrics ~doc ~axis ~anc:(anc_tuples, anc_slot)
       done;
       let j = ref !lo in
       while !j < nd && (fst dg.(!j)).Node.start_pos < a.Node.end_pos do
-        metrics.Metrics.stack_ops <- metrics.Metrics.stack_ops + 1;
+        work.Sjos_obs.Work.stack_ops <- work.Sjos_obs.Work.stack_ops + 1;
         let d, d_tuples = dg.(!j) in
         if Axes.related axis ~anc:a ~desc:d then
           List.iter
@@ -55,8 +55,8 @@ let join ~metrics ~doc ~axis ~anc:(anc_tuples, anc_slot)
               List.iter
                 (fun td ->
                   out := Tuple.merge ta td :: !out;
-                  metrics.Metrics.output_tuples <-
-                    metrics.Metrics.output_tuples + 1)
+                  work.Sjos_obs.Work.tuples_emitted <-
+                    work.Sjos_obs.Work.tuples_emitted + 1)
                 d_tuples)
             a_tuples;
         incr j

@@ -10,13 +10,12 @@
     over, so its work is super-linear exactly where Stack-Tree stays linear
     — the ablation benchmark quantifies this.
 
-    Output is ordered by the ancestor side.  Scan steps are accounted in
-    [Metrics.stack_ops] so cost units remain comparable. *)
+    Output is ordered by the ancestor side.  Scan steps are charged to
+    [Work.stack_ops] so cost units remain comparable. *)
 
 open Sjos_xml
 
 val join :
-  metrics:Metrics.t ->
   doc:Document.t ->
   axis:Axes.axis ->
   anc:Tuple.t array * int ->

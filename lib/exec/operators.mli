@@ -1,23 +1,25 @@
 (** The non-join physical operators: index scan and sort, in both the
-    classic tuple-array flavor and the columnar batch flavor. *)
+    classic tuple-array flavor and the columnar batch flavor.  Each
+    charges the calling domain's {!Sjos_obs.Work} accumulator. *)
 
 open Sjos_xml
 open Sjos_storage
 
-val index_scan :
-  metrics:Metrics.t -> width:int -> slot:int -> Node.t array -> Tuple.t array
+val index_scan : width:int -> slot:int -> Node.t array -> Tuple.t array
 (** Turn a document-ordered candidate array into single-binding tuples.
-    Accounts one index item per candidate. *)
+    Charges one [candidates_scanned] per candidate. *)
 
-val index_scan_batch :
-  metrics:Metrics.t -> width:int -> slot:int -> Cols.t -> Batch.t
+val index_scan_batch : width:int -> slot:int -> Cols.t -> Batch.t
 (** The columnar equivalent: binds the candidate [ids] column directly
     into batch rows without materializing per-tuple arrays.  Same
     accounting as {!index_scan}. *)
 
+val charge_sort : Sjos_obs.Work.t -> int -> unit
+(** [charge_sort w n] accounts one sort of [n] items: [n] to
+    [sorted_items] and [n log2 n] to [sort_cost]. *)
+
 val sort :
   ?budget:Sjos_guard.Budget.t ->
-  metrics:Metrics.t ->
   doc:Document.t ->
   by:int ->
   Tuple.t array ->
@@ -33,7 +35,6 @@ val sort :
 
 val sort_batch :
   ?budget:Sjos_guard.Budget.t ->
-  metrics:Metrics.t ->
   doc:Document.t ->
   by:int ->
   Batch.t ->
@@ -42,7 +43,6 @@ val sort_batch :
 
 val sort_legacy :
   ?budget:Sjos_guard.Budget.t ->
-  metrics:Metrics.t ->
   doc:Document.t ->
   by:int ->
   Tuple.t array ->

@@ -1,6 +1,7 @@
 open Sjos_xml
 open Sjos_storage
 open Sjos_pattern
+module Work = Sjos_obs.Work
 
 type entry = { node : Node.t; parent_top : int }
 type stack = { mutable items : entry array; mutable len : int }
@@ -45,7 +46,8 @@ let chain_of pat =
   in
   Array.of_list (go 0 [])
 
-let run ~metrics index pat =
+let run index pat =
+  let work = Work.current () in
   let chain = chain_of pat in
   let n = Array.length chain in
   let width = Pattern.node_count pat in
@@ -54,8 +56,8 @@ let run ~metrics index pat =
   in
   Array.iter
     (fun s ->
-      metrics.Metrics.index_items <-
-        metrics.Metrics.index_items + Array.length s)
+      work.Work.candidates_scanned <-
+        work.Work.candidates_scanned + Array.length s)
     streams;
   let pos = Array.make n 0 in
   let stacks = Array.init n (fun _ -> new_stack ()) in
@@ -80,7 +82,7 @@ let run ~metrics index pat =
       (fun st ->
         while st.len > 0 && st.items.(st.len - 1).node.Node.end_pos < start do
           st.len <- st.len - 1;
-          metrics.Metrics.stack_ops <- metrics.Metrics.stack_ops + 1
+          work.Work.stack_ops <- work.Work.stack_ops + 1
         done)
       stacks
   in
@@ -92,7 +94,7 @@ let run ~metrics index pat =
     let rec expand k bound child_node acc =
       if k < 0 then begin
         out := acc :: !out;
-        metrics.Metrics.output_tuples <- metrics.Metrics.output_tuples + 1
+        work.Work.tuples_emitted <- work.Work.tuples_emitted + 1
       end
       else
         let axis_to_child =
@@ -116,7 +118,7 @@ let run ~metrics index pat =
     base.(fst chain.(n - 1)) <- leaf_entry.node.Node.id;
     if n = 1 then begin
       out := base :: !out;
-      metrics.Metrics.output_tuples <- metrics.Metrics.output_tuples + 1
+      work.Work.tuples_emitted <- work.Work.tuples_emitted + 1
     end
     else expand (n - 2) leaf_entry.parent_top leaf_entry.node base
   in
@@ -146,7 +148,7 @@ let run ~metrics index pat =
           end
         in
         if k = 0 || parent_top >= 0 then begin
-          metrics.Metrics.stack_ops <- metrics.Metrics.stack_ops + 1;
+          work.Work.stack_ops <- work.Work.stack_ops + 1;
           let e = { node = t; parent_top } in
           if k = n - 1 then
             (* leaf entries contribute all their solutions immediately and
@@ -157,9 +159,6 @@ let run ~metrics index pat =
         loop ()
   in
   loop ();
-  metrics.Metrics.joins <- metrics.Metrics.joins + (n - 1);
   Array.of_list (List.rev !out)
 
-let count index pat =
-  let metrics = Metrics.create () in
-  Array.length (run ~metrics index pat)
+let count index pat = Array.length (run index pat)

@@ -17,11 +17,11 @@
 open Sjos_storage
 open Sjos_pattern
 
-val run :
-  metrics:Metrics.t -> Element_index.t -> Pattern.t -> Tuple.t array
-(** Evaluate a path pattern holistically.  The result contains exactly the
-    pattern's matches, ordered by the leaf (deepest) pattern node.
-    Raises [Invalid_argument] if the pattern is not a path. *)
+val run : Element_index.t -> Pattern.t -> Tuple.t array
+(** Evaluate a path pattern holistically, charging the calling domain's
+    {!Sjos_obs.Work}.  The result contains exactly the pattern's matches,
+    ordered by the leaf (deepest) pattern node.  Raises
+    [Invalid_argument] if the pattern is not a path. *)
 
 val count : Element_index.t -> Pattern.t -> int
-(** Convenience wrapper discarding metrics. *)
+(** Number of matches of {!run}. *)

@@ -11,7 +11,7 @@ module Registry = Sjos_obs.Registry
 (* Columnar Stack-Tree kernels.  The legacy group-list implementation is
    preserved in {!Stack_tree_legacy}; this module must produce
    bit-identical tuple sequences and counter totals (modulo
-   [skipped_items]) while touching only flat int arrays on the hot path.
+   [items_skipped]) while touching only flat int arrays on the hot path.
 
    With a domain pool, the join is additionally range-partitioned on the
    ancestor group column at forest-closed cut points (no ancestor
@@ -300,20 +300,20 @@ let merge_rows adata abase ddata dbase out obase width =
      descendant group starting before it is galloped over (binary search
      on the sorted start column).
 
-   Both skips are counted in [Metrics.skipped_items] (diagnostics only,
+   Both skips are counted in [Work.items_skipped] (diagnostics only,
    never priced by the cost model).
 
    [drain]: sharded runs set it on every shard that has descendant
    groups after its own slice.  Ancestor groups left over when the
    shard's descendants run out are then charged as a dead run
-   ([stack_ops] push+pop and [skipped_items]), because that is exactly
+   ([stack_ops] push+pop and [items_skipped]), because that is exactly
    what the serial merge does to them when the first later descendant
    becomes current — every leftover group's interval ends before the
    next cut, hence before any later descendant's start.  The serial
    (unsharded) call passes [drain:false]: with no later descendants the
    serial loop leaves those groups untouched, and so do we. *)
-let merge_loop ~budget ~metrics ~axis ~drain (ag : groups) (dg : groups) ~emit =
-  let work = Work.current () in
+let merge_loop ~budget ~(work : Work.t) ~axis ~drain (ag : groups)
+    (dg : groups) ~emit =
   let iters = ref 0 in
   let stack = ref (Array.make 64 0) in
   let sp = ref 0 in
@@ -356,16 +356,15 @@ let merge_loop ~budget ~metrics ~axis ~drain (ag : groups) (dg : groups) ~emit =
           incr j
         done;
         let items = ag.off.(!j) - ag.off.(!ai) in
-        metrics.Metrics.stack_ops <- metrics.Metrics.stack_ops + (2 * items);
-        metrics.Metrics.skipped_items <-
-          metrics.Metrics.skipped_items + items;
+        work.Work.stack_ops <- work.Work.stack_ops + (2 * items);
+        work.Work.items_skipped <- work.Work.items_skipped + items;
         ai := !j
       end
       else begin
         let astart = Array.unsafe_get ag.gstart !ai in
         pop_until astart;
-        metrics.Metrics.stack_ops <-
-          metrics.Metrics.stack_ops + (2 * (ag.off.(!ai + 1) - ag.off.(!ai)));
+        work.Work.stack_ops <-
+          work.Work.stack_ops + (2 * (ag.off.(!ai + 1) - ag.off.(!ai)));
         push !ai;
         incr ai
       end
@@ -375,8 +374,8 @@ let merge_loop ~budget ~metrics ~axis ~drain (ag : groups) (dg : groups) ~emit =
       if !sp = 0 then
         (* descendant-side skip *)
         if !ai >= na then begin
-          metrics.Metrics.skipped_items <-
-            metrics.Metrics.skipped_items + (dg.off.(nd) - dg.off.(!di));
+          work.Work.items_skipped <-
+            work.Work.items_skipped + (dg.off.(nd) - dg.off.(!di));
           di := nd
         end
         else begin
@@ -385,8 +384,8 @@ let merge_loop ~budget ~metrics ~axis ~drain (ag : groups) (dg : groups) ~emit =
               (Array.unsafe_get ag.gstart !ai)
           in
           if j > !di then begin
-            metrics.Metrics.skipped_items <-
-              metrics.Metrics.skipped_items + (dg.off.(j) - dg.off.(!di));
+            work.Work.items_skipped <-
+              work.Work.items_skipped + (dg.off.(j) - dg.off.(!di));
             di := j
           end
           else incr di
@@ -417,18 +416,21 @@ let merge_loop ~budget ~metrics ~axis ~drain (ag : groups) (dg : groups) ~emit =
   done;
   if drain && !ai < na then begin
     let items = ag.off.(na) - ag.off.(!ai) in
-    metrics.Metrics.stack_ops <- metrics.Metrics.stack_ops + (2 * items);
-    metrics.Metrics.skipped_items <- metrics.Metrics.skipped_items + items
+    work.Work.stack_ops <- work.Work.stack_ops + (2 * items);
+    work.Work.items_skipped <- work.Work.items_skipped + items
   end
 
 (* --- Stack-Tree-Desc: stream output in descendant order --------------- *)
 
-let run_desc ~budget ~metrics ~axis ~drain ~width ~adata ~ddata (ag : groups)
+let run_desc ~budget ~axis ~drain ~width ~adata ~ddata (ag : groups)
     (dg : groups) =
+  let work = Work.current () in
   let cap = ref (max 16 (width * 64)) in
   let out = ref (Array.make !cap Tuple.unbound) in
   let out_len = ref 0 in
   let limited = not (Budget.is_unlimited budget) in
+  (* the join's own output count, checked against the tuple ceiling *)
+  let emitted = ref 0 in
   let emit g d =
     let a_lo = ag.off.(g) and a_hi = ag.off.(g + 1) in
     let d_lo = dg.off.(d) and d_hi = dg.off.(d + 1) in
@@ -453,9 +455,9 @@ let run_desc ~budget ~metrics ~axis ~drain ~width ~adata ~ddata (ag : groups)
         for dr = d_lo to d_hi - 1 do
           merge_rows adata abase ddata (dr * width) buf !out_len width;
           out_len := !out_len + width;
-          metrics.Metrics.output_tuples <- metrics.Metrics.output_tuples + 1;
-          Budget.check_tuples budget ~during:"execute"
-            ~count:metrics.Metrics.output_tuples
+          work.Work.tuples_emitted <- work.Work.tuples_emitted + 1;
+          incr emitted;
+          Budget.check_tuples budget ~during:"execute" ~count:!emitted
         done
       done
     else begin
@@ -468,17 +470,18 @@ let run_desc ~budget ~metrics ~axis ~drain ~width ~adata ~ddata (ag : groups)
         done
       done;
       out_len := !ol;
-      metrics.Metrics.output_tuples <- metrics.Metrics.output_tuples + npairs
+      work.Work.tuples_emitted <- work.Work.tuples_emitted + npairs
     end
   in
-  merge_loop ~budget ~metrics ~axis ~drain ag dg ~emit;
+  merge_loop ~budget ~work ~axis ~drain ag dg ~emit;
   let len = if width = 0 then 0 else !out_len / width in
   Batch.unsafe_of_raw ~width ~len !out
 
 (* --- Stack-Tree-Anc: buffer pairs until the ancestor pops ------------- *)
 
-let run_anc ~budget ~metrics ~axis ~drain ~width ~adata ~ddata (ag : groups)
+let run_anc ~budget ~axis ~drain ~width ~adata ~ddata (ag : groups)
     (dg : groups) =
+  let work = Work.current () in
   (* Pairs are buffered as (anc group, anc row, desc row) triples in
      generation order, then laid out by a stable counting sort on the anc
      group index.  The legacy variant's self/inherit chunk chaining emits
@@ -488,6 +491,7 @@ let run_anc ~budget ~metrics ~axis ~drain ~width ~adata ~ddata (ag : groups)
   let pairs = Ibuf.create 256 in
   let counts = Array.make ag.n 0 in
   let limited = not (Budget.is_unlimited budget) in
+  let emitted = ref 0 in
   let emit g d =
     let a_lo = ag.off.(g) and a_hi = ag.off.(g + 1) in
     let d_lo = dg.off.(d) and d_hi = dg.off.(d + 1) in
@@ -503,10 +507,10 @@ let run_anc ~budget ~metrics ~axis ~drain ~width ~adata ~ddata (ag : groups)
           Ibuf.push pairs ar;
           Ibuf.push pairs dr;
           counts.(g) <- counts.(g) + 1;
-          metrics.Metrics.output_tuples <- metrics.Metrics.output_tuples + 1;
-          Budget.check_tuples budget ~during:"execute"
-            ~count:metrics.Metrics.output_tuples;
-          metrics.Metrics.io_items <- metrics.Metrics.io_items + 2
+          work.Work.tuples_emitted <- work.Work.tuples_emitted + 1;
+          incr emitted;
+          Budget.check_tuples budget ~during:"execute" ~count:!emitted;
+          work.Work.io_items <- work.Work.io_items + 2
         done
       done
     else begin
@@ -518,11 +522,11 @@ let run_anc ~budget ~metrics ~axis ~drain ~width ~adata ~ddata (ag : groups)
         done
       done;
       counts.(g) <- counts.(g) + npairs;
-      metrics.Metrics.output_tuples <- metrics.Metrics.output_tuples + npairs;
-      metrics.Metrics.io_items <- metrics.Metrics.io_items + (2 * npairs)
+      work.Work.tuples_emitted <- work.Work.tuples_emitted + npairs;
+      work.Work.io_items <- work.Work.io_items + (2 * npairs)
     end
   in
-  merge_loop ~budget ~metrics ~axis ~drain ag dg ~emit;
+  merge_loop ~budget ~work ~axis ~drain ag dg ~emit;
   let npairs = Ibuf.length pairs / 3 in
   let pos = Array.make ag.n 0 in
   let acc = ref 0 in
@@ -563,8 +567,9 @@ let merge_rows_boxed adata abase ddata dbase width =
   done;
   t
 
-let run_desc_root ~budget ~metrics ~axis ~drain ~width ~adata ~ddata
+let run_desc_root ~budget ~axis ~drain ~width ~adata ~ddata
     (ag : groups) (dg : groups) =
+  let work = Work.current () in
   let cap = ref 64 in
   let out = ref (Array.make !cap ([||] : Tuple.t)) in
   let out_len = ref 0 in
@@ -590,21 +595,22 @@ let run_desc_root ~budget ~metrics ~axis ~drain ~width ~adata ~ddata
         Array.unsafe_set buf !out_len
           (merge_rows_boxed adata abase ddata (dr * width) width);
         incr out_len;
-        metrics.Metrics.output_tuples <- metrics.Metrics.output_tuples + 1;
+        work.Work.tuples_emitted <- work.Work.tuples_emitted + 1;
         if limited then
-          Budget.check_tuples budget ~during:"execute"
-            ~count:metrics.Metrics.output_tuples
+          Budget.check_tuples budget ~during:"execute" ~count:!out_len
       done
     done
   in
-  merge_loop ~budget ~metrics ~axis ~drain ag dg ~emit;
+  merge_loop ~budget ~work ~axis ~drain ag dg ~emit;
   Array.sub !out 0 !out_len
 
-let run_anc_root ~budget ~metrics ~axis ~drain ~width ~adata ~ddata
+let run_anc_root ~budget ~axis ~drain ~width ~adata ~ddata
     (ag : groups) (dg : groups) =
+  let work = Work.current () in
   let pairs = Ibuf.create 256 in
   let counts = Array.make ag.n 0 in
   let limited = not (Budget.is_unlimited budget) in
+  let emitted = ref 0 in
   let emit g d =
     let a_lo = ag.off.(g) and a_hi = ag.off.(g + 1) in
     let d_lo = dg.off.(d) and d_hi = dg.off.(d + 1) in
@@ -620,10 +626,10 @@ let run_anc_root ~budget ~metrics ~axis ~drain ~width ~adata ~ddata
           Ibuf.push pairs ar;
           Ibuf.push pairs dr;
           counts.(g) <- counts.(g) + 1;
-          metrics.Metrics.output_tuples <- metrics.Metrics.output_tuples + 1;
-          Budget.check_tuples budget ~during:"execute"
-            ~count:metrics.Metrics.output_tuples;
-          metrics.Metrics.io_items <- metrics.Metrics.io_items + 2
+          work.Work.tuples_emitted <- work.Work.tuples_emitted + 1;
+          incr emitted;
+          Budget.check_tuples budget ~during:"execute" ~count:!emitted;
+          work.Work.io_items <- work.Work.io_items + 2
         done
       done
     else begin
@@ -635,11 +641,11 @@ let run_anc_root ~budget ~metrics ~axis ~drain ~width ~adata ~ddata
         done
       done;
       counts.(g) <- counts.(g) + npairs;
-      metrics.Metrics.output_tuples <- metrics.Metrics.output_tuples + npairs;
-      metrics.Metrics.io_items <- metrics.Metrics.io_items + (2 * npairs)
+      work.Work.tuples_emitted <- work.Work.tuples_emitted + npairs;
+      work.Work.io_items <- work.Work.io_items + (2 * npairs)
     end
   in
-  merge_loop ~budget ~metrics ~axis ~drain ag dg ~emit;
+  merge_loop ~budget ~work ~axis ~drain ag dg ~emit;
   let npairs = Ibuf.length pairs / 3 in
   let pos = Array.make ag.n 0 in
   let acc = ref 0 in
@@ -699,14 +705,16 @@ let shard_cuts ~pool ~par_min_rows ~budget ~force (ag : groups) (dg : groups) =
         if Array.length cuts <= 2 then None else Some cuts
       end
 
-(* Run [runner] once per shard, merge per-shard metrics into [metrics]
-   at the barrier (integer counters are order-independent sums), and
-   hand the per-shard outputs back in shard order.  Each shard gets the
-   ancestor slice [cuts.(k), cuts.(k+1)) and exactly the descendant
-   groups whose start falls at-or-after its first ancestor's start and
-   before the next shard's — containment pairs never cross a valid cut,
-   so every pair is produced by exactly one shard. *)
-let run_sharded ~pool ~cuts ~metrics (ag : groups) (dg : groups) runner =
+(* Run [runner] once per shard and hand the per-shard outputs back in
+   shard order.  Each runner charges the {!Work} accumulator of the
+   domain it runs on; {!Pool.run} absorbs every task's delta into the
+   caller at the barrier (integer counters are order-independent sums).
+   Each shard gets the ancestor slice [cuts.(k), cuts.(k+1)) and exactly
+   the descendant groups whose start falls at-or-after its first
+   ancestor's start and before the next shard's — containment pairs
+   never cross a valid cut, so every pair is produced by exactly one
+   shard. *)
+let run_sharded ~pool ~cuts (ag : groups) (dg : groups) runner =
   let m = Array.length cuts - 1 in
   (if Registry.enabled () then begin
      (* Shard-balance accounting, computed from the cuts alone — fully
@@ -733,26 +741,18 @@ let run_sharded ~pool ~cuts ~metrics (ag : groups) (dg : groups) runner =
      Registry.add (Registry.counter "par.shard_rows_max_weighted")
        (!max_rows * m)
    end);
-  let results =
-    Pool.run pool m (fun k ->
-        let alo = cuts.(k) and ahi = cuts.(k + 1) in
-        let dlo =
-          if k = 0 then 0
-          else Shard.lower_bound dg.gstart ~lo:0 ~hi:dg.n ag.gstart.(alo)
-        in
-        let dhi =
-          if k = m - 1 then dg.n
-          else Shard.lower_bound dg.gstart ~lo:0 ~hi:dg.n ag.gstart.(ahi)
-        in
-        let shard_metrics = Metrics.create () in
-        let out =
-          runner ~metrics:shard_metrics ~drain:(dhi < dg.n)
-            (sub_groups ag alo ahi) (sub_groups dg dlo dhi)
-        in
-        (shard_metrics, out))
-  in
-  Array.iter (fun (sm, _) -> Metrics.add metrics sm) results;
-  Array.map snd results
+  Pool.run pool m (fun k ->
+      let alo = cuts.(k) and ahi = cuts.(k + 1) in
+      let dlo =
+        if k = 0 then 0
+        else Shard.lower_bound dg.gstart ~lo:0 ~hi:dg.n ag.gstart.(alo)
+      in
+      let dhi =
+        if k = m - 1 then dg.n
+        else Shard.lower_bound dg.gstart ~lo:0 ~hi:dg.n ag.gstart.(ahi)
+      in
+      runner ~drain:(dhi < dg.n) (sub_groups ag alo ahi)
+        (sub_groups dg dlo dhi))
 
 let concat_batches ~width (parts : Batch.t array) =
   let total = Array.fold_left (fun acc b -> acc + Batch.length b) 0 parts in
@@ -792,9 +792,7 @@ let prepare ~doc ~anc:(anc_i, anc_slot) ~desc:(desc_i, desc_slot) =
 let force_input = function Rows _ -> () | Leaf l -> force_leaf l
 
 let join_batch_in ?(budget = Budget.unlimited) ?pool
-    ?(par_min_rows = default_par_min_rows) ~metrics ~doc ~axis ~algo ~anc ~desc
-    () =
-  metrics.Metrics.joins <- metrics.Metrics.joins + 1;
+    ?(par_min_rows = default_par_min_rows) ~doc ~axis ~algo ~anc ~desc () =
   let width, adata, ddata, ag, dg = prepare ~doc ~anc ~desc in
   let runner =
     match algo with
@@ -809,16 +807,14 @@ let join_batch_in ?(budget = Budget.unlimited) ?pool
   | Some cuts ->
       let pool = Option.get pool in
       let parts =
-        run_sharded ~pool ~cuts ~metrics ag dg (fun ~metrics ~drain sag sdg ->
-            runner ~budget ~metrics ~axis ~drain ~width ~adata ~ddata sag sdg)
+        run_sharded ~pool ~cuts ag dg (fun ~drain sag sdg ->
+            runner ~budget ~axis ~drain ~width ~adata ~ddata sag sdg)
       in
       concat_batches ~width parts
-  | None -> runner ~budget ~metrics ~axis ~drain:false ~width ~adata ~ddata ag dg
+  | None -> runner ~budget ~axis ~drain:false ~width ~adata ~ddata ag dg
 
 let join_root_in ?(budget = Budget.unlimited) ?pool
-    ?(par_min_rows = default_par_min_rows) ~metrics ~doc ~axis ~algo ~anc ~desc
-    () =
-  metrics.Metrics.joins <- metrics.Metrics.joins + 1;
+    ?(par_min_rows = default_par_min_rows) ~doc ~axis ~algo ~anc ~desc () =
   let width, adata, ddata, ag, dg = prepare ~doc ~anc ~desc in
   let runner =
     match algo with
@@ -833,23 +829,23 @@ let join_root_in ?(budget = Budget.unlimited) ?pool
   | Some cuts ->
       let pool = Option.get pool in
       let parts =
-        run_sharded ~pool ~cuts ~metrics ag dg (fun ~metrics ~drain sag sdg ->
-            runner ~budget ~metrics ~axis ~drain ~width ~adata ~ddata sag sdg)
+        run_sharded ~pool ~cuts ag dg (fun ~drain sag sdg ->
+            runner ~budget ~axis ~drain ~width ~adata ~ddata sag sdg)
       in
       Array.concat (Array.to_list parts)
-  | None -> runner ~budget ~metrics ~axis ~drain:false ~width ~adata ~ddata ag dg
+  | None -> runner ~budget ~axis ~drain:false ~width ~adata ~ddata ag dg
 
-let join_batch ?budget ?pool ?par_min_rows ~metrics ~doc ~axis ~algo
+let join_batch ?budget ?pool ?par_min_rows ~doc ~axis ~algo
     ~anc:(anc_b, anc_slot) ~desc:(desc_b, desc_slot) () =
-  join_batch_in ?budget ?pool ?par_min_rows ~metrics ~doc ~axis ~algo
+  join_batch_in ?budget ?pool ?par_min_rows ~doc ~axis ~algo
     ~anc:(Rows anc_b, anc_slot) ~desc:(Rows desc_b, desc_slot) ()
 
-let join_root ?budget ?pool ?par_min_rows ~metrics ~doc ~axis ~algo
+let join_root ?budget ?pool ?par_min_rows ~doc ~axis ~algo
     ~anc:(anc_b, anc_slot) ~desc:(desc_b, desc_slot) () =
-  join_root_in ?budget ?pool ?par_min_rows ~metrics ~doc ~axis ~algo
+  join_root_in ?budget ?pool ?par_min_rows ~doc ~axis ~algo
     ~anc:(Rows anc_b, anc_slot) ~desc:(Rows desc_b, desc_slot) ()
 
-let join ?budget ?pool ?par_min_rows ~metrics ~doc ~axis ~algo
+let join ?budget ?pool ?par_min_rows ~doc ~axis ~algo
     ~anc:(anc_tuples, anc_slot) ~desc:(desc_tuples, desc_slot) () =
   let width =
     if Array.length anc_tuples > 0 then Array.length anc_tuples.(0)
@@ -859,5 +855,5 @@ let join ?budget ?pool ?par_min_rows ~metrics ~doc ~axis ~algo
   let anc_b = Batch.of_tuples ~width anc_tuples in
   let desc_b = Batch.of_tuples ~width desc_tuples in
   Batch.to_tuples
-    (join_batch ?budget ?pool ?par_min_rows ~metrics ~doc ~axis ~algo
+    (join_batch ?budget ?pool ?par_min_rows ~doc ~axis ~algo
        ~anc:(anc_b, anc_slot) ~desc:(desc_b, desc_slot) ())

@@ -17,9 +17,11 @@
     output are all reusable int arrays — no list conses on the hot path —
     and the merge skips ahead over provably unproductive input runs
     (galloping the descendant start column, batch-dropping dead ancestor
-    groups), counting what it skipped in {!Metrics.t.skipped_items}.
-    Outputs, orderings and all other counters are bit-identical to the
-    reference implementation kept in {!Stack_tree_legacy}.
+    groups), counting what it skipped in {!Sjos_obs.Work.t.items_skipped}.
+    Every counter is charged to the calling domain's {!Sjos_obs.Work}
+    accumulator.  Outputs, orderings and all other counters are
+    bit-identical to the reference implementation kept in
+    {!Stack_tree_legacy}.
 
     Inputs sorted by their join node keep equal nodes adjacent;
     consecutive rows sharing the join node are processed as one group, so
@@ -30,9 +32,9 @@
     range-partitioned on the ancestor group column at forest-closed cut
     points (no ancestor interval straddles a cut), each shard runs the
     unchanged serial kernel over its slice on a pool domain, per-shard
-    metrics are merged at the barrier, and shard outputs are
+    work is absorbed at the pool barrier, and shard outputs are
     concatenated in shard order.  The result — tuples, ordering, and
-    every counter including [skipped_items] — is bit-identical to the
+    every counter including [items_skipped] — is bit-identical to the
     serial run by construction, for any shard count.  Sharding is
     declined (falling back to serial) when the budget carries a
     [max_tuples] ceiling, since stopping after exactly the n-th global
@@ -116,7 +118,6 @@ val join_batch_in :
   ?budget:Sjos_guard.Budget.t ->
   ?pool:Sjos_par.Pool.t ->
   ?par_min_rows:int ->
-  metrics:Metrics.t ->
   doc:Document.t ->
   axis:Axes.axis ->
   algo:Plan.algo ->
@@ -132,7 +133,6 @@ val join_root_in :
   ?budget:Sjos_guard.Budget.t ->
   ?pool:Sjos_par.Pool.t ->
   ?par_min_rows:int ->
-  metrics:Metrics.t ->
   doc:Document.t ->
   axis:Axes.axis ->
   algo:Plan.algo ->
@@ -146,7 +146,6 @@ val join_batch :
   ?budget:Sjos_guard.Budget.t ->
   ?pool:Sjos_par.Pool.t ->
   ?par_min_rows:int ->
-  metrics:Metrics.t ->
   doc:Document.t ->
   axis:Axes.axis ->
   algo:Plan.algo ->
@@ -154,7 +153,7 @@ val join_batch :
   desc:Batch.t * int ->
   unit ->
   Batch.t
-(** [join_batch ~metrics ~doc ~axis ~algo ~anc:(ba, sa) ~desc:(bd, sd) ()]
+(** [join_batch ~doc ~axis ~algo ~anc:(ba, sa) ~desc:(bd, sd) ()]
     joins the rows of [ba] (whose slot [sa] holds the ancestor-side node,
     sorted by it) with [bd] (slot [sd], sorted by it), returning merged
     rows ordered by the ancestor (STJ-Anc) or descendant (STJ-Desc) node.
@@ -170,7 +169,6 @@ val join_root :
   ?budget:Sjos_guard.Budget.t ->
   ?pool:Sjos_par.Pool.t ->
   ?par_min_rows:int ->
-  metrics:Metrics.t ->
   doc:Document.t ->
   axis:Axes.axis ->
   algo:Plan.algo ->
@@ -190,7 +188,6 @@ val join :
   ?budget:Sjos_guard.Budget.t ->
   ?pool:Sjos_par.Pool.t ->
   ?par_min_rows:int ->
-  metrics:Metrics.t ->
   doc:Document.t ->
   axis:Axes.axis ->
   algo:Plan.algo ->

@@ -1,6 +1,7 @@
 open Sjos_xml
 open Sjos_plan
 open Sjos_guard
+module Work = Sjos_obs.Work
 
 (* Consecutive tuples with the same node in the join slot form one group;
    inputs sorted by the join node keep equal nodes adjacent. *)
@@ -36,16 +37,19 @@ let group_by_slot doc tuples slot =
   flush ();
   Array.of_list (List.rev !groups)
 
-let cross ~budget ~metrics ~count_io out_push a_tuples d_tuples =
+(* [emitted] is the join's own output count, which the budget's tuple
+   ceiling is checked against. *)
+let cross ~budget ~(work : Work.t) ~emitted ~count_io out_push a_tuples
+    d_tuples =
   List.iter
     (fun ta ->
       List.iter
         (fun td ->
           out_push (Tuple.merge ta td);
-          metrics.Metrics.output_tuples <- metrics.Metrics.output_tuples + 1;
-          Budget.check_tuples budget ~during:"execute"
-            ~count:metrics.Metrics.output_tuples;
-          if count_io then metrics.Metrics.io_items <- metrics.Metrics.io_items + 2)
+          work.Work.tuples_emitted <- work.Work.tuples_emitted + 1;
+          incr emitted;
+          Budget.check_tuples budget ~during:"execute" ~count:!emitted;
+          if count_io then work.Work.io_items <- work.Work.io_items + 2)
         d_tuples)
     a_tuples
 
@@ -59,8 +63,9 @@ let poll_merge ~budget iters =
 
 (* --- Stack-Tree-Desc: stream output in descendant order --------------- *)
 
-let run_desc ~budget ~metrics ~axis anc_groups desc_groups =
-  let work = Sjos_obs.Work.current () in
+let run_desc ~budget ~axis anc_groups desc_groups =
+  let work = Work.current () in
+  let emitted = ref 0 in
   let out = ref [] in
   let iters = ref 0 in
   let stack = ref [] in
@@ -85,8 +90,7 @@ let run_desc ~budget ~metrics ~axis anc_groups desc_groups =
     then begin
       let a = anc_groups.(!ai) in
       pop_until a.node.Node.start_pos;
-      metrics.Metrics.stack_ops <-
-        metrics.Metrics.stack_ops + (2 * List.length a.tuples);
+      work.Work.stack_ops <- work.Work.stack_ops + (2 * List.length a.tuples);
       stack := a :: !stack;
       incr ai
     end
@@ -94,13 +98,12 @@ let run_desc ~budget ~metrics ~axis anc_groups desc_groups =
       pop_until d.node.Node.start_pos;
       (* same work unit as the columnar kernel: one comparison per live
          stack entry examined for this descendant group *)
-      work.Sjos_obs.Work.comparisons <-
-        work.Sjos_obs.Work.comparisons + List.length !stack;
+      work.Work.comparisons <- work.Work.comparisons + List.length !stack;
       (* bottom-to-top = ancestor document order within this descendant *)
       List.iter
         (fun a ->
           if Axes.related axis ~anc:a.node ~desc:d.node then
-            cross ~budget ~metrics ~count_io:false
+            cross ~budget ~work ~emitted ~count_io:false
               (fun t -> out := t :: !out)
               a.tuples d.tuples)
         (List.rev !stack);
@@ -119,8 +122,9 @@ type anc_entry = {
          chunk is in final order, chunks in reverse arrival order *)
 }
 
-let run_anc ~budget ~metrics ~axis anc_groups desc_groups =
-  let work = Sjos_obs.Work.current () in
+let run_anc ~budget ~axis anc_groups desc_groups =
+  let work = Work.current () in
+  let emitted = ref 0 in
   let out_chunks_rev = ref [] in
   let iters = ref 0 in
   let stack = ref [] in
@@ -157,20 +161,18 @@ let run_anc ~budget ~metrics ~axis anc_groups desc_groups =
     then begin
       let a = anc_groups.(!ai) in
       pop_until a.node.Node.start_pos;
-      metrics.Metrics.stack_ops <-
-        metrics.Metrics.stack_ops + (2 * List.length a.tuples);
+      work.Work.stack_ops <- work.Work.stack_ops + (2 * List.length a.tuples);
       stack :=
         { group = a; self_rev = []; inherit_chunks_rev = [] } :: !stack;
       incr ai
     end
     else begin
       pop_until d.node.Node.start_pos;
-      work.Sjos_obs.Work.comparisons <-
-        work.Sjos_obs.Work.comparisons + List.length !stack;
+      work.Work.comparisons <- work.Work.comparisons + List.length !stack;
       List.iter
         (fun e ->
           if Axes.related axis ~anc:e.group.node ~desc:d.node then
-            cross ~budget ~metrics ~count_io:true
+            cross ~budget ~work ~emitted ~count_io:true
               (fun t -> e.self_rev <- t :: e.self_rev)
               e.group.tuples d.tuples)
         !stack;
@@ -187,13 +189,12 @@ let run_anc ~budget ~metrics ~axis anc_groups desc_groups =
   done;
   Array.of_list (List.concat (List.rev !out_chunks_rev))
 
-let join ?(budget = Budget.unlimited) ~metrics ~doc ~axis ~algo
+let join ?(budget = Budget.unlimited) ~doc ~axis ~algo
     ~anc:(anc_tuples, anc_slot) ~desc:(desc_tuples, desc_slot) () =
-  metrics.Metrics.joins <- metrics.Metrics.joins + 1;
   let anc_groups = group_by_slot doc anc_tuples anc_slot in
   let desc_groups = group_by_slot doc desc_tuples desc_slot in
   match algo with
   | Plan.Stack_tree_desc ->
-      run_desc ~budget ~metrics ~axis anc_groups desc_groups
+      run_desc ~budget ~axis anc_groups desc_groups
   | Plan.Stack_tree_anc ->
-      run_anc ~budget ~metrics ~axis anc_groups desc_groups
+      run_anc ~budget ~axis anc_groups desc_groups

@@ -7,8 +7,8 @@
     [bench/bench_perf] old-vs-new benchmark can assert, on randomized
     inputs, that the two engines produce identical tuple arrays (same
     tuples, same order) and identical join/IO accounting.  Apart from
-    {!Metrics.t.skipped_items} (always [0] here), every counter must
-    match the columnar kernels exactly.
+    {!Sjos_obs.Work.t.items_skipped} (always [0] here), every counter
+    must match the columnar kernels exactly.
 
     Do not use this from new execution paths — it is the slow baseline. *)
 
@@ -17,7 +17,6 @@ open Sjos_plan
 
 val join :
   ?budget:Sjos_guard.Budget.t ->
-  metrics:Metrics.t ->
   doc:Document.t ->
   axis:Axes.axis ->
   algo:Plan.algo ->

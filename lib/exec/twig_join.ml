@@ -2,6 +2,7 @@ open Sjos_xml
 open Sjos_storage
 open Sjos_pattern
 open Sjos_guard
+module Work = Sjos_obs.Work
 
 type entry = { node : Node.t; parent_top : int }
 type stack = { mutable items : entry array; mutable len : int }
@@ -87,7 +88,8 @@ let verify_stream ~doc ~what nodes =
     nodes;
   nodes
 
-let path_solutions ?(budget = Budget.unlimited) ?candidates ~metrics index pat =
+let path_solutions ?(budget = Budget.unlimited) ?candidates index pat =
+  let work = Work.current () in
   let n = Pattern.node_count pat in
   let width = n in
   let paths = paths_to pat in
@@ -106,8 +108,8 @@ let path_solutions ?(budget = Budget.unlimited) ?candidates ~metrics index pat =
   in
   Array.iter
     (fun s ->
-      metrics.Metrics.index_items <-
-        metrics.Metrics.index_items + Array.length s)
+      work.Work.candidates_scanned <-
+        work.Work.candidates_scanned + Array.length s)
     streams;
   let pos = Array.make n 0 in
   let stacks = Array.init n (fun _ -> new_stack ()) in
@@ -137,7 +139,7 @@ let path_solutions ?(budget = Budget.unlimited) ?candidates ~metrics index pat =
       (fun st ->
         while st.len > 0 && st.items.(st.len - 1).node.Node.end_pos < start do
           st.len <- st.len - 1;
-          metrics.Metrics.stack_ops <- metrics.Metrics.stack_ops + 1
+          work.Work.stack_ops <- work.Work.stack_ops + 1
         done)
       stacks
   in
@@ -146,8 +148,8 @@ let path_solutions ?(budget = Budget.unlimited) ?candidates ~metrics index pat =
      checked explicitly. *)
   let sol_count = ref 0 in
   let solution_out () =
-    metrics.Metrics.io_items <- metrics.Metrics.io_items + 2;
-    metrics.Metrics.output_tuples <- metrics.Metrics.output_tuples + 1;
+    work.Work.io_items <- work.Work.io_items + 2;
+    work.Work.tuples_emitted <- work.Work.tuples_emitted + 1;
     incr sol_count;
     Budget.check_tuples budget ~during:"execute" ~count:!sol_count
   in
@@ -219,14 +221,13 @@ let path_solutions ?(budget = Budget.unlimited) ?candidates ~metrics index pat =
               !pt
         in
         if parent_info.(k) = None || parent_top >= 0 then begin
-          metrics.Metrics.stack_ops <- metrics.Metrics.stack_ops + 1;
+          work.Work.stack_ops <- work.Work.stack_ops + 1;
           let e = { node = t; parent_top } in
           if is_leaf.(k) then emit k k e else push stacks.(k) e
         end;
         loop ()
   in
   loop ();
-  metrics.Metrics.joins <- metrics.Metrics.joins + Pattern.edge_count pat;
   List.map (fun l -> (l, List.rev solutions.(l))) leaf_nodes
 
 (* Phase 2: merge path solutions across leaves on their shared slots. *)
@@ -242,8 +243,9 @@ let shared_slots mask_a mask_b =
 let combine a b =
   Array.init (Array.length a) (fun i -> if a.(i) <> Tuple.unbound then a.(i) else b.(i))
 
-let run ?(budget = Budget.unlimited) ?candidates ~metrics index pat =
-  let per_leaf = path_solutions ~budget ?candidates ~metrics index pat in
+let run ?(budget = Budget.unlimited) ?candidates index pat =
+  let work = Work.current () in
+  let per_leaf = path_solutions ~budget ?candidates index pat in
   let paths = paths_to pat in
   let mask_of_path leaf =
     List.fold_left (fun m i -> m lor (1 lsl i)) 0 paths.(leaf)
@@ -271,8 +273,8 @@ let run ?(budget = Budget.unlimited) ?candidates ~metrics index pat =
                 List.map (fun u -> combine t u) (Hashtbl.find_all table key))
               !acc
           in
-          metrics.Metrics.output_tuples <-
-            metrics.Metrics.output_tuples + List.length joined;
+          work.Work.tuples_emitted <-
+            work.Work.tuples_emitted + List.length joined;
           Budget.check budget ~during:"execute";
           Budget.check_tuples budget ~during:"execute"
             ~count:(List.length joined);
@@ -281,6 +283,4 @@ let run ?(budget = Budget.unlimited) ?candidates ~metrics index pat =
         rest;
       Array.of_list !acc
 
-let count index pat =
-  let metrics = Metrics.create () in
-  Array.length (run ~metrics index pat)
+let count index pat = Array.length (run index pat)

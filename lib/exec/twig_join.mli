@@ -16,8 +16,8 @@
     solutions that do not survive the merge — the original's I/O-optimality
     guarantee only holds for descendant-only twigs anyway.
 
-    Path solutions are accounted as buffered IO in the metrics (they must
-    be materialized for the merge), so the ablation against binary
+    Path solutions are charged as buffered IO to {!Sjos_obs.Work} (they
+    must be materialized for the merge), so the ablation against binary
     Stack-Tree plans is a fair fight in cost units. *)
 
 open Sjos_xml
@@ -28,7 +28,6 @@ open Sjos_guard
 val run :
   ?budget:Budget.t ->
   ?candidates:(int -> Node.t array) ->
-  metrics:Metrics.t ->
   Element_index.t ->
   Pattern.t ->
   Tuple.t array
@@ -44,11 +43,11 @@ val run :
     kernel is the reference oracle for {!Twig_stack}. *)
 
 val count : Element_index.t -> Pattern.t -> int
+(** Number of matches of {!run}. *)
 
 val path_solutions :
   ?budget:Budget.t ->
   ?candidates:(int -> Node.t array) ->
-  metrics:Metrics.t ->
   Element_index.t ->
   Pattern.t ->
   (int * Tuple.t list) list

@@ -23,7 +23,7 @@ module Work = Sjos_obs.Work
    provably dead runs (a stream whose pattern parent can never match
    again) and gallops a child stream past candidates that must arrive
    before their first possible ancestor.  Skips are logical — counted in
-   [skipped_items] identically for both storage backends — and the whole
+   [items_skipped] identically for both storage backends — and the whole
    pass is serial, so every counter is domain-count invariant. *)
 
 (* ---------- per-node state ---------- *)
@@ -103,7 +103,7 @@ let paths_to pat =
 
 let poll_mask = 255
 
-let run ?(budget = Budget.unlimited) ~metrics ~doc ~pat ~inputs () =
+let run ?(budget = Budget.unlimited) ~doc ~pat ~inputs () =
   let n = Pattern.node_count pat in
   if Array.length inputs <> n then
     invalid_arg "Twig_stack.run: expected one input per pattern node";
@@ -150,8 +150,8 @@ let run ?(budget = Budget.unlimited) ~metrics ~doc ~pat ~inputs () =
           if pos.(p) >= g.(p).Stack_tree.n then begin
             (* the parent can never be pushed again: everything left in
                this stream (and, transitively, its subtree) is dead *)
-            metrics.Metrics.skipped_items <-
-              metrics.Metrics.skipped_items + (g.(k).Stack_tree.n - pos.(k));
+            work.Work.items_skipped <-
+              work.Work.items_skipped + (g.(k).Stack_tree.n - pos.(k));
             pos.(k) <- g.(k).Stack_tree.n
           end
           else begin
@@ -166,8 +166,8 @@ let run ?(budget = Budget.unlimited) ~metrics ~doc ~pat ~inputs () =
                 Stack_tree.gallop ~probe:g.(k).Stack_tree.e_probe
                   g.(k).Stack_tree.gstart pos.(k) g.(k).Stack_tree.n sp
               in
-              metrics.Metrics.skipped_items <-
-                metrics.Metrics.skipped_items + (j - pos.(k));
+              work.Work.items_skipped <-
+                work.Work.items_skipped + (j - pos.(k));
               pos.(k) <- j
             end
           end)
@@ -194,7 +194,7 @@ let run ?(budget = Budget.unlimited) ~metrics ~doc ~pat ~inputs () =
       (fun st ->
         while st.len > 0 && entry st (st.len - 1) e_end < start do
           st.len <- st.len - 1;
-          metrics.Metrics.stack_ops <- metrics.Metrics.stack_ops + 1
+          work.Work.stack_ops <- work.Work.stack_ops + 1
         done)
       stacks
   in
@@ -205,8 +205,8 @@ let run ?(budget = Budget.unlimited) ~metrics ~doc ~pat ~inputs () =
     for s = 0 to width - 1 do
       Ibuf.push b scratch.(s)
     done;
-    metrics.Metrics.io_items <- metrics.Metrics.io_items + 2;
-    metrics.Metrics.output_tuples <- metrics.Metrics.output_tuples + 1;
+    work.Work.io_items <- work.Work.io_items + 2;
+    work.Work.tuples_emitted <- work.Work.tuples_emitted + 1;
     incr sol_count;
     if limited then
       Budget.check_tuples budget ~during:"execute" ~count:!sol_count
@@ -283,7 +283,7 @@ let run ?(budget = Budget.unlimited) ~metrics ~doc ~pat ~inputs () =
           end
         in
         if p < 0 || parent_top >= 0 then begin
-          metrics.Metrics.stack_ops <- metrics.Metrics.stack_ops + 1;
+          work.Work.stack_ops <- work.Work.stack_ops + 1;
           g.(k).Stack_tree.e_rows r (r + 1);
           let id = data.(k).((r * width) + k) in
           if is_leaf.(k) then emit k ~start ~end_ ~level ~id ~parent_top
@@ -292,7 +292,6 @@ let run ?(budget = Budget.unlimited) ~metrics ~doc ~pat ~inputs () =
         loop ()
   in
   loop ();
-  metrics.Metrics.joins <- metrics.Metrics.joins + Pattern.edge_count pat;
   (* -- phase 2: merge path-solution blocks on shared prefixes -- *)
   let shared_slots mask_a mask_b =
     let rec go i acc =
@@ -308,7 +307,7 @@ let run ?(budget = Budget.unlimited) ~metrics ~doc ~pat ~inputs () =
   (* Index permutation sorted by the key slots, tie-broken by row index:
      a total order, so the sorted sequence (and with it every downstream
      counter) is independent of the sort algorithm.  Accounted exactly
-     like the algebra's Sort operator — sorts, sorted_items and
+     like the algebra's Sort operator — sorted_items and
      sort_cost, no per-comparison work — so the engines' comparison
      counters price the same thing. *)
   let sort_perm rows_data nrows key_slots =
@@ -325,13 +324,7 @@ let run ?(budget = Budget.unlimited) ~metrics ~doc ~pat ~inputs () =
       go key_slots
     in
     Array.sort cmp perm;
-    metrics.Metrics.sorted_items <- metrics.Metrics.sorted_items + nrows;
-    metrics.Metrics.sorts <- metrics.Metrics.sorts + 1;
-    if nrows > 1 then
-      metrics.Metrics.sort_cost <-
-        metrics.Metrics.sort_cost
-        +. (float_of_int nrows
-            *. (Float.log (float_of_int nrows) /. Float.log 2.0));
+    Operators.charge_sort work nrows;
     perm
   in
   let key_equal rows_a ra rows_b rb key_slots =
@@ -393,7 +386,7 @@ let run ?(budget = Budget.unlimited) ~metrics ~doc ~pat ~inputs () =
         ib := !jb
       end
     done;
-    metrics.Metrics.output_tuples <- metrics.Metrics.output_tuples + !emitted;
+    work.Work.tuples_emitted <- work.Work.tuples_emitted + !emitted;
     (Ibuf.data out, !emitted)
   in
   let result_data, result_rows =
@@ -426,5 +419,5 @@ let run ?(budget = Budget.unlimited) ~metrics ~doc ~pat ~inputs () =
     perm;
   Batch.unsafe_of_raw ~width ~len:result_rows (Ibuf.data buf)
 
-let run_tuples ?budget ~metrics ~doc ~pat ~inputs () =
-  Batch.to_tuples (run ?budget ~metrics ~doc ~pat ~inputs ())
+let run_tuples ?budget ~doc ~pat ~inputs () =
+  Batch.to_tuples (run ?budget ~doc ~pat ~inputs ())

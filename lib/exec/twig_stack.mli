@@ -16,15 +16,15 @@
     cursor front demands, and skip-ahead — dropping a stream whose
     pattern parent can never match again, and galloping a child stream
     up to its parent's front — works identically over both backends,
-    counted in {!Metrics.t.skipped_items}.
+    counted in {!Sjos_obs.Work.t.items_skipped}.
 
-    Counter contract: [stack_ops] (pushes + expired pops), [io_items]
+    Counter contract, all charged to the calling domain's
+    {!Sjos_obs.Work}: [stack_ops] (pushes + expired pops), [io_items]
     (2 per path solution, the TwigStack intermediate-list write+read),
-    [output_tuples] (path solutions + merge emissions), [joins],
-    [sorted_items]/[sorts]/[sort_cost] (prefix-merge and canonical
-    orderings, accounted like the algebra's Sort operator) are charged
-    to [metrics]; element comparisons go straight to
-    {!Sjos_obs.Work.current} like the binary kernels.  Comparisons
+    [tuples_emitted] (path solutions + merge emissions),
+    [sorted_items]/[sort_cost] (prefix-merge and canonical orderings,
+    accounted like the algebra's Sort operator) and [comparisons],
+    like the binary kernels.  Comparisons
     price decisions only — merged-cursor advances, parent-stack scans,
     child-axis predicates, merge key tests; descendant-axis expansion
     is bulk emission and, like the binary kernels' pair emission, costs
@@ -37,13 +37,12 @@ open Sjos_guard
 
 val run :
   ?budget:Budget.t ->
-  metrics:Metrics.t ->
   doc:Document.t ->
   pat:Pattern.t ->
   inputs:Stack_tree.input array ->
   unit ->
   Batch.t
-(** [run ~metrics ~doc ~pat ~inputs ()] — the holistic match of [pat],
+(** [run ~doc ~pat ~inputs ()] — the holistic match of [pat],
     given one candidate stream per pattern node ([inputs.(i)] binds slot
     [i] of a width-[node_count] row; document order, distinct elements).
 
@@ -53,7 +52,6 @@ val run :
 
 val run_tuples :
   ?budget:Budget.t ->
-  metrics:Metrics.t ->
   doc:Document.t ->
   pat:Pattern.t ->
   inputs:Stack_tree.input array ->

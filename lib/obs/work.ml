@@ -23,6 +23,7 @@ type t = {
   mutable expansions : int;
   mutable plans_considered : int;
   mutable page_touches : int;
+  mutable sort_cost : float;
 }
 
 let zero () =
@@ -37,6 +38,7 @@ let zero () =
     expansions = 0;
     plans_considered = 0;
     page_touches = 0;
+    sort_cost = 0.0;
   }
 
 (* The calling domain's accumulator lives behind one extra indirection
@@ -56,7 +58,8 @@ let reset () =
   w.io_items <- 0;
   w.expansions <- 0;
   w.plans_considered <- 0;
-  w.page_touches <- 0
+  w.page_touches <- 0;
+  w.sort_cost <- 0.0
 
 let copy w =
   {
@@ -70,6 +73,7 @@ let copy w =
     expansions = w.expansions;
     plans_considered = w.plans_considered;
     page_touches = w.page_touches;
+    sort_cost = w.sort_cost;
   }
 
 let snapshot () = copy (current ())
@@ -84,7 +88,8 @@ let merge_into dst src =
   dst.sorted_items <- dst.sorted_items + src.sorted_items;
   dst.expansions <- dst.expansions + src.expansions;
   dst.plans_considered <- dst.plans_considered + src.plans_considered;
-  dst.page_touches <- dst.page_touches + src.page_touches
+  dst.page_touches <- dst.page_touches + src.page_touches;
+  dst.sort_cost <- dst.sort_cost +. src.sort_cost
 
 let absorb src = merge_into (current ()) src
 
@@ -100,6 +105,7 @@ let diff ~after ~before =
     expansions = after.expansions - before.expansions;
     plans_considered = after.plans_considered - before.plans_considered;
     page_touches = after.page_touches - before.page_touches;
+    sort_cost = after.sort_cost -. before.sort_cost;
   }
 
 let scoped f =
@@ -110,6 +116,11 @@ let scoped f =
   let result = match f () with v -> Ok v | exception e -> Error e in
   slot := outer;
   (fresh, result)
+
+let measure f =
+  let w, result = scoped f in
+  absorb w;
+  match result with Ok v -> (v, w) | Error e -> raise e
 
 let fields w =
   [
@@ -125,8 +136,13 @@ let fields w =
     ("page_touches", w.page_touches);
   ]
 
+(* [sort_cost] is left out: a float total depends on the order deltas
+   were absorbed in (pool tasks, per-operator scopes), so it is exact
+   per run but may differ in its last bits across domain counts. *)
 let equal a b = fields a = fields b
-let is_zero w = List.for_all (fun (_, v) -> v = 0) (fields w)
+
+let is_zero w =
+  List.for_all (fun (_, v) -> v = 0) (fields w) && w.sort_cost = 0.0
 
 (* items_skipped is excluded by design: skip-ahead is work {e avoided},
    and a kernel that skips more while producing the same result must
@@ -144,17 +160,13 @@ let core_score w =
   + w.sorted_items + w.expansions
 
 let equal_mod_io a b =
-  let strip w =
-    List.filter
-      (fun (k, _) -> k <> "io_items" && k <> "page_touches")
-      (fields w)
-  in
+  let strip w = fields { w with io_items = 0; page_touches = 0 } in
   strip a = strip b
 
 let to_json w =
   Json.Obj
     (List.map (fun (k, v) -> (k, Json.Int v)) (fields w)
-    @ [ ("score", Json.Int (score w)) ])
+    @ [ ("sort_cost", Json.Float w.sort_cost); ("score", Json.Int (score w)) ])
 
 let of_json j =
   let field name =
@@ -174,6 +186,11 @@ let of_json j =
   let* expansions = field "expansions" in
   let* plans_considered = field "plans_considered" in
   let* page_touches = field "page_touches" in
+  (* absent in datapoints written before the field existed *)
+  let sort_cost =
+    Option.value ~default:0.0
+      (Option.bind (Json.member "sort_cost" j) Json.number)
+  in
   Ok
     {
       comparisons;
@@ -186,6 +203,7 @@ let of_json j =
       expansions;
       plans_considered;
       page_touches;
+      sort_cost;
     }
 
 let publish ?(prefix = "work") w =
@@ -196,7 +214,7 @@ let publish ?(prefix = "work") w =
 
 let pp ppf w =
   List.iter (fun (k, v) -> Fmt.pf ppf "%s=%d " k v) (fields w);
-  Fmt.pf ppf "score=%d" (score w)
+  Fmt.pf ppf "sort_cost=%g score=%d" w.sort_cost (score w)
 
 (* ---------- GC deltas (advisory; per-process, not per-domain) ---------- *)
 

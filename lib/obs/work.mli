@@ -12,10 +12,11 @@
     sharded Stack-Tree merge, and {!Sjos_par.Pool.run} merges each
     task's delta into the caller at the barrier).
 
-    Counters are always on — like {!Effort} and the executor's
-    {!Metrics}, they are plain mutable integers owned by the calling
-    domain, so charging work costs one field write and determinism can
-    never depend on whether observability was enabled. *)
+    Counters are always on — like {!Effort}, they are plain mutable
+    fields owned by the calling domain, so charging work costs one field
+    write and determinism can never depend on whether observability was
+    enabled.  The execution kernels charge this record directly; there
+    is no second executor-side counter set. *)
 
 type t = {
   mutable comparisons : int;
@@ -32,6 +33,10 @@ type t = {
   mutable expansions : int;  (** optimizer status expansions ({!Effort}) *)
   mutable plans_considered : int;  (** alternative plans costed *)
   mutable page_touches : int;  (** buffer-pool page accesses ({!Pager}) *)
+  mutable sort_cost : float;
+      (** accumulated [n log2 n] terms of the sorts executed — the one
+          non-integer quantity the cost model prices; not part of
+          {!fields}, {!score} or {!equal} *)
 }
 
 val current : unit -> t
@@ -61,8 +66,20 @@ val scoped : (unit -> 'a) -> t * ('a, exn) result
     charged work is {e not} added to the outer accumulator; the caller
     decides where it goes ({!absorb}). *)
 
+val measure : (unit -> 'a) -> 'a * t
+(** [measure f] runs [f] in a {!scoped} accumulator, {!absorb}s the
+    charged work back into the caller's, and returns the result with
+    that work.  If [f] raises, the work is still absorbed and the
+    exception re-raised. *)
+
 val fields : t -> (string * int) list
+(** The integer counters, in declaration order ([sort_cost] excluded). *)
+
 val equal : t -> t -> bool
+(** Every integer counter equal.  [sort_cost] is not compared: its total
+    is a float sum whose last bits depend on the order deltas were
+    absorbed in, e.g. across domain counts. *)
+
 val is_zero : t -> bool
 
 val score : t -> int
@@ -77,13 +94,14 @@ val core_score : t -> int
     counters are what the backends are {e supposed} to change. *)
 
 val equal_mod_io : t -> t -> bool
-(** Field-wise equality ignoring [io_items] and [page_touches]. *)
+(** {!equal} ignoring [io_items] and [page_touches]. *)
 
 val to_json : t -> Json.t
 (** Every field plus the derived ["score"]. *)
 
 val of_json : Json.t -> (t, string) result
-(** Inverse of {!to_json} (the ["score"] field is ignored). *)
+(** Inverse of {!to_json} (the ["score"] field is ignored; a missing
+    ["sort_cost"] reads as [0.0]). *)
 
 val publish : ?prefix:string -> t -> unit
 (** Copy the counters into the metrics registry as [work.comparisons]

@@ -2,9 +2,7 @@
 
     [Sjos_storage.Cols] is the canonical name consumers should use; the
     type itself lives in {!Sjos_xml.Cols} (the document's own positional
-    columns are the same shape, and the xml layer sits below storage).
-    The old duplicated records — [Document.columns] and
-    [Element_index.columns] — are deprecated aliases of this type. *)
+    columns are the same shape, and the xml layer sits below storage). *)
 
 type t = Sjos_xml.Cols.t = {
   ids : int array;

@@ -1,12 +1,5 @@
 open Sjos_xml
 
-type columns = Cols.t = {
-  ids : int array;
-  starts : int array;
-  ends : int array;
-  levels : int array;
-}
-
 type t = {
   doc : Document.t;
   by_tag : (string, Node.t array) Hashtbl.t;  (* immutable after [build] *)
@@ -19,8 +12,6 @@ type t = {
      every access to them takes the lock.  [by_tag] needs none. *)
   lazy_m : Mutex.t;
 }
-
-let columns_of_nodes = Cols.of_nodes
 
 (* Count-then-fill: one pass sizes each tag's array, a second fills it.
    Pre-order iteration already yields nodes sorted by start position. *)
@@ -76,8 +67,6 @@ let cols t tag =
   in
   Mutex.unlock t.lazy_m;
   c
-
-let columns = cols
 
 let lookup_attr t ~tag ~attr ~value =
   Mutex.lock t.lazy_m;

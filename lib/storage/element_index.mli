@@ -11,17 +11,6 @@ open Sjos_xml
 
 type t
 
-type columns = Cols.t = {
-  ids : int array;
-  starts : int array;
-  ends : int array;
-  levels : int array;
-}
-[@@ocaml.deprecated "use Cols.t"]
-(** Deprecated alias of {!Cols.t} — the candidate-list column record is
-    now the unified column type shared with {!Document.positions} and
-    {!Column_store}. *)
-
 val build : Document.t -> t
 (** Index every element of the document by tag. *)
 
@@ -34,17 +23,9 @@ val cols : t -> string -> Cols.t
     Callers must not mutate the arrays.  Safe to call from any domain
     (the lazy caches are mutex-guarded). *)
 
-val columns : t -> string -> Cols.t
-[@@ocaml.deprecated "use Element_index.cols"]
-(** Deprecated alias of {!cols}. *)
-
 val warm : t -> unit
 (** Pre-build the per-tag column cache for every tag, so parallel
     queries hit only read paths.  Idempotent. *)
-
-val columns_of_nodes : Node.t array -> Cols.t
-[@@ocaml.deprecated "use Cols.of_nodes"]
-(** Deprecated alias of {!Cols.of_nodes}. *)
 
 val lookup_attr : t -> tag:string -> attr:string -> value:string -> Node.t array
 (** Document-ordered elements with the given tag carrying [attr="value"].

@@ -1,10 +1,3 @@
-type columns = Cols.t = {
-  ids : int array;
-  starts : int array;
-  ends : int array;
-  levels : int array;
-}
-
 type t = { arr : Node.t array; cols_m : Mutex.t; mutable cols : Cols.t option }
 
 let of_nodes arr =
@@ -49,7 +42,6 @@ let positions t =
       Mutex.unlock t.cols_m;
       c
 
-let columns = positions
 
 let size t = Array.length t.arr
 

@@ -7,17 +7,6 @@
 
 type t
 
-type columns = Cols.t = {
-  ids : int array;  (** identity: [ids.(id) = id] *)
-  starts : int array;  (** [starts.(id)] is [ (node t id).start_pos ] *)
-  ends : int array;  (** [ends.(id)] is [ (node t id).end_pos ] *)
-  levels : int array;  (** [levels.(id)] is [ (node t id).level ] *)
-}
-[@@ocaml.deprecated "use Cols.t (via Document.positions)"]
-(** Deprecated alias of {!Cols.t}: the document-wide structure-of-arrays
-    view used to be its own record; it is now the unified column type
-    shared with the storage layer. *)
-
 val of_nodes : Node.t array -> t
 (** [of_nodes nodes] wraps a pre-order node array.  Raises
     [Invalid_argument] if ids are not consecutive from 0 or the interval
@@ -43,10 +32,6 @@ val positions : t -> Cols.t
     kernels compare machine integers read from these columns instead of
     dereferencing {!Node.t} records on the join hot path.  Do not
     mutate.  Safe to call from any domain. *)
-
-val columns : t -> Cols.t
-[@@ocaml.deprecated "use Document.positions"]
-(** Deprecated alias of {!positions}. *)
 
 val children : t -> Node.t -> Node.t list
 (** Direct element children, in document order. *)

@@ -55,6 +55,23 @@ let exact_provider index p = Sjos_exec.Naive.exact_provider index p
 let check_float = Alcotest.(check (float 1e-9))
 let checkf msg a b = Alcotest.(check (float 1e-6)) msg a b
 
+(* Work equality, one check per counter so a failure names it. *)
+let check_work msg (a : Sjos_obs.Work.t) (b : Sjos_obs.Work.t) =
+  List.iter2
+    (fun (k, av) (_, bv) -> Alcotest.(check int) (msg ^ ": " ^ k) av bv)
+    (Sjos_obs.Work.fields a) (Sjos_obs.Work.fields b);
+  check_float (msg ^ ": sort_cost") a.Sjos_obs.Work.sort_cost
+    b.Sjos_obs.Work.sort_cost
+
+(* Legacy vs columnar: only the columnar kernels skip, so the legacy
+   side must report no skips and the rest must match. *)
+let check_work_mod_skips msg ~(legacy : Sjos_obs.Work.t)
+    (columnar : Sjos_obs.Work.t) =
+  Alcotest.(check int)
+    (msg ^ ": legacy items_skipped = 0")
+    0 legacy.Sjos_obs.Work.items_skipped;
+  check_work msg legacy { columnar with Sjos_obs.Work.items_skipped = 0 }
+
 (* Run one optimizer algorithm against the tiny fixture. *)
 let optimize_tiny ?(provider_of = exact_provider) algorithm p =
   let index = Lazy.force tiny_index in

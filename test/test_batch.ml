@@ -3,7 +3,7 @@
    flat-array kernels must produce exactly the tuple sequence (same
    tuples, same order) and exactly the counters of the legacy list-based
    kernels kept in {!Sjos_exec.Stack_tree_legacy} — including on
-   chaos-truncated inputs.  [Metrics.skipped_items] is deliberately
+   chaos-truncated inputs.  [Work.items_skipped] is deliberately
    excluded from the comparison: it is the batch engine's own diagnostic
    and is always 0 for the legacy kernels.
 
@@ -16,6 +16,7 @@ open Sjos_storage
 open Sjos_plan
 open Sjos_core
 open Sjos_exec
+module Work = Sjos_obs.Work
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -38,21 +39,6 @@ let check_same_tuple_seq msg (expected : Tuple.t array) (actual : Tuple.t array)
           (Tuple.to_string actual.(i)))
     expected
 
-(* skipped_items deliberately not compared; see the header comment. *)
-let check_metrics_equal msg (a : Metrics.t) (b : Metrics.t) =
-  check ci (msg ^ ": index_items") a.Metrics.index_items b.Metrics.index_items;
-  check ci (msg ^ ": stack_ops") a.Metrics.stack_ops b.Metrics.stack_ops;
-  check ci (msg ^ ": io_items") a.Metrics.io_items b.Metrics.io_items;
-  check ci (msg ^ ": sorted_items") a.Metrics.sorted_items
-    b.Metrics.sorted_items;
-  Helpers.check_float (msg ^ ": sort_cost") a.Metrics.sort_cost
-    b.Metrics.sort_cost;
-  check ci (msg ^ ": output_tuples") a.Metrics.output_tuples
-    b.Metrics.output_tuples;
-  check ci (msg ^ ": joins") a.Metrics.joins b.Metrics.joins;
-  check ci (msg ^ ": sorts") a.Metrics.sorts b.Metrics.sorts;
-  check ci (msg ^ ": legacy skipped_items = 0") 0 a.Metrics.skipped_items
-
 let docs_under_test seed =
   [
     ("pers", Sjos_datagen.Pers.generate ~seed ~target_nodes:600 ());
@@ -61,26 +47,26 @@ let docs_under_test seed =
       Sjos_datagen.Mbench.generate ~seed:(seed + 2) ~target_nodes:600 () );
   ]
 
-let scan idx tag slot width ~metrics =
-  Operators.index_scan ~metrics ~width ~slot (Element_index.lookup idx tag)
+let scan idx tag slot width =
+  Operators.index_scan ~width ~slot (Element_index.lookup idx tag)
 
 (* Run one (anc tag, desc tag, axis, algo) case through both engines. *)
 let join_both ~doc ~idx ~atag ~dtag ~axis ~algo =
-  let legacy_metrics = Metrics.create () in
-  let anc_l = scan idx atag 0 2 ~metrics:legacy_metrics in
-  let desc_l = scan idx dtag 1 2 ~metrics:legacy_metrics in
-  let legacy =
-    Stack_tree_legacy.join ~metrics:legacy_metrics ~doc ~axis ~algo
-      ~anc:(anc_l, 0) ~desc:(desc_l, 1) ()
+  let legacy, legacy_work =
+    Work.measure (fun () ->
+        Stack_tree_legacy.join ~doc ~axis ~algo
+          ~anc:(scan idx atag 0 2, 0)
+          ~desc:(scan idx dtag 1 2, 1)
+          ())
   in
-  let batch_metrics = Metrics.create () in
-  let anc_b = scan idx atag 0 2 ~metrics:batch_metrics in
-  let desc_b = scan idx dtag 1 2 ~metrics:batch_metrics in
-  let batch =
-    Stack_tree.join ~metrics:batch_metrics ~doc ~axis ~algo ~anc:(anc_b, 0)
-      ~desc:(desc_b, 1) ()
+  let batch, batch_work =
+    Work.measure (fun () ->
+        Stack_tree.join ~doc ~axis ~algo
+          ~anc:(scan idx atag 0 2, 0)
+          ~desc:(scan idx dtag 1 2, 1)
+          ())
   in
-  (legacy, legacy_metrics, batch, batch_metrics)
+  (legacy, legacy_work, batch, batch_work)
 
 let all_cases = [ Plan.Stack_tree_desc; Plan.Stack_tree_anc ]
 let all_axes = [ Axes.Descendant; Axes.Child ]
@@ -111,7 +97,7 @@ let test_kernel_differential () =
                   join_both ~doc ~idx ~atag ~dtag ~axis ~algo
                 in
                 check_same_tuple_seq msg legacy batch;
-                check_metrics_equal msg lm bm)
+                Helpers.check_work_mod_skips msg ~legacy:lm bm)
               all_cases)
           all_axes
       done)
@@ -120,34 +106,24 @@ let test_kernel_differential () =
 (* ---------- multi-join chains (duplicate join values) ---------- *)
 
 let chain_legacy ~doc ~idx (t0, t1, t2) ~axis ~algo =
-  let metrics = Metrics.create () in
-  let a = scan idx t0 0 3 ~metrics in
-  let b = scan idx t1 1 3 ~metrics in
-  let j1 =
-    Stack_tree_legacy.join ~metrics ~doc ~axis ~algo ~anc:(a, 0) ~desc:(b, 1)
-      ()
-  in
-  let sorted = Operators.sort_legacy ~metrics ~doc ~by:1 j1 in
-  let c = scan idx t2 2 3 ~metrics in
-  let out =
-    Stack_tree_legacy.join ~metrics ~doc ~axis ~algo ~anc:(sorted, 1)
-      ~desc:(c, 2) ()
-  in
-  (out, metrics)
+  Work.measure (fun () ->
+      let a = scan idx t0 0 3 in
+      let b = scan idx t1 1 3 in
+      let j1 =
+        Stack_tree_legacy.join ~doc ~axis ~algo ~anc:(a, 0) ~desc:(b, 1) ()
+      in
+      let sorted = Operators.sort_legacy ~doc ~by:1 j1 in
+      let c = scan idx t2 2 3 in
+      Stack_tree_legacy.join ~doc ~axis ~algo ~anc:(sorted, 1) ~desc:(c, 2) ())
 
 let chain_batch ~doc ~idx (t0, t1, t2) ~axis ~algo =
-  let metrics = Metrics.create () in
-  let a = scan idx t0 0 3 ~metrics in
-  let b = scan idx t1 1 3 ~metrics in
-  let j1 =
-    Stack_tree.join ~metrics ~doc ~axis ~algo ~anc:(a, 0) ~desc:(b, 1) ()
-  in
-  let sorted = Operators.sort ~metrics ~doc ~by:1 j1 in
-  let c = scan idx t2 2 3 ~metrics in
-  let out =
-    Stack_tree.join ~metrics ~doc ~axis ~algo ~anc:(sorted, 1) ~desc:(c, 2) ()
-  in
-  (out, metrics)
+  Work.measure (fun () ->
+      let a = scan idx t0 0 3 in
+      let b = scan idx t1 1 3 in
+      let j1 = Stack_tree.join ~doc ~axis ~algo ~anc:(a, 0) ~desc:(b, 1) () in
+      let sorted = Operators.sort ~doc ~by:1 j1 in
+      let c = scan idx t2 2 3 in
+      Stack_tree.join ~doc ~axis ~algo ~anc:(sorted, 1) ~desc:(c, 2) ())
 
 let test_multi_join_chain () =
   let doc = Lazy.force Helpers.pers_1k in
@@ -164,7 +140,7 @@ let test_multi_join_chain () =
               let legacy, lm = chain_legacy ~doc ~idx chain ~axis ~algo in
               let batch, bm = chain_batch ~doc ~idx chain ~axis ~algo in
               check_same_tuple_seq "chain" legacy batch;
-              check_metrics_equal "chain" lm bm)
+              Helpers.check_work_mod_skips "chain" ~legacy:lm bm)
             all_cases)
         all_axes)
     chains
@@ -176,9 +152,8 @@ let test_truncated_inputs () =
   let idx = Element_index.build doc in
   let rng = Sjos_datagen.Rng.create (seed_base + 23) in
   for _ = 1 to 12 do
-    let metrics = Metrics.create () in
-    let anc = scan idx "manager" 0 2 ~metrics in
-    let desc = scan idx "name" 1 2 ~metrics in
+    let anc = scan idx "manager" 0 2 in
+    let desc = scan idx "name" 1 2 in
     (* truncation keeps a sorted prefix — both engines must agree *)
     let anc = Array.sub anc 0 (Sjos_datagen.Rng.int rng (Array.length anc + 1)) in
     let desc =
@@ -186,26 +161,26 @@ let test_truncated_inputs () =
     in
     List.iter
       (fun algo ->
-        let lm = Metrics.create () and bm = Metrics.create () in
-        let legacy =
-          Stack_tree_legacy.join ~metrics:lm ~doc ~axis:Axes.Descendant ~algo
-            ~anc:(anc, 0) ~desc:(desc, 1) ()
+        let legacy, lm =
+          Work.measure (fun () ->
+              Stack_tree_legacy.join ~doc ~axis:Axes.Descendant ~algo
+                ~anc:(anc, 0) ~desc:(desc, 1) ())
         in
-        let batch =
-          Stack_tree.join ~metrics:bm ~doc ~axis:Axes.Descendant ~algo
-            ~anc:(anc, 0) ~desc:(desc, 1) ()
+        let batch, bm =
+          Work.measure (fun () ->
+              Stack_tree.join ~doc ~axis:Axes.Descendant ~algo ~anc:(anc, 0)
+                ~desc:(desc, 1) ())
         in
         check_same_tuple_seq "truncated" legacy batch;
-        check_metrics_equal "truncated" lm bm)
+        Helpers.check_work_mod_skips "truncated" ~legacy:lm bm)
       all_cases
   done
 
 let test_unsorted_rejected_identically () =
   let doc = Lazy.force Helpers.pers_1k in
   let idx = Element_index.build doc in
-  let metrics = Metrics.create () in
-  let anc = scan idx "manager" 0 2 ~metrics in
-  let desc = scan idx "name" 1 2 ~metrics in
+  let anc = scan idx "manager" 0 2 in
+  let desc = scan idx "name" 1 2 in
   let n = Array.length anc in
   Alcotest.(check bool) "enough managers" true (n > 2);
   (* swap two tuples with distinct join nodes: unsorted input *)
@@ -215,15 +190,15 @@ let test_unsorted_rejected_identically () =
   unsorted.(n - 1) <- tmp;
   let expected = "Stack_tree: input not sorted by its join slot" in
   (match
-     Stack_tree_legacy.join ~metrics:(Metrics.create ()) ~doc
-       ~axis:Axes.Descendant ~algo:Plan.Stack_tree_desc ~anc:(unsorted, 0)
+     Stack_tree_legacy.join ~doc ~axis:Axes.Descendant
+       ~algo:Plan.Stack_tree_desc ~anc:(unsorted, 0)
        ~desc:(desc, 1) ()
    with
   | exception Invalid_argument m -> check Alcotest.string "legacy rejects" expected m
   | _ -> Alcotest.fail "legacy accepted unsorted input");
   match
-    Stack_tree.join ~metrics:(Metrics.create ()) ~doc ~axis:Axes.Descendant
-      ~algo:Plan.Stack_tree_desc ~anc:(unsorted, 0) ~desc:(desc, 1) ()
+    Stack_tree.join ~doc ~axis:Axes.Descendant ~algo:Plan.Stack_tree_desc
+      ~anc:(unsorted, 0) ~desc:(desc, 1) ()
   with
   | exception Invalid_argument m -> check Alcotest.string "batch rejects" expected m
   | _ -> Alcotest.fail "batch accepted unsorted input"
@@ -249,7 +224,8 @@ let test_executor_kernel_differential () =
       in
       let msg = query.Sjos_engine.Workload.id in
       check_same_tuple_seq msg legacy.Executor.tuples batch.Executor.tuples;
-      check_metrics_equal msg legacy.Executor.metrics batch.Executor.metrics;
+      Helpers.check_work_mod_skips msg ~legacy:legacy.Executor.work
+        batch.Executor.work;
       Helpers.check_float (msg ^ ": cost units") legacy.Executor.cost_units
         batch.Executor.cost_units)
     Sjos_engine.Workload.queries
@@ -268,7 +244,8 @@ let test_executor_fetch_differential () =
     run_both_kernels ~fetch index query.Sjos_engine.Workload.pattern
   in
   check_same_tuple_seq "fetch" legacy.Executor.tuples batch.Executor.tuples;
-  check_metrics_equal "fetch" legacy.Executor.metrics batch.Executor.metrics
+  Helpers.check_work_mod_skips "fetch" ~legacy:legacy.Executor.work
+    batch.Executor.work
 
 (* ---------- the skip-ahead actually skips ---------- *)
 
@@ -286,7 +263,7 @@ let test_skip_ahead_counts () =
         (fun dtag ->
           let _, _, _, bm = join_both ~doc ~idx ~atag ~dtag
               ~axis:Axes.Child ~algo:Plan.Stack_tree_desc in
-          total := !total + bm.Metrics.skipped_items)
+          total := !total + bm.Work.items_skipped)
         tags)
     tags;
   Alcotest.(check bool) "skip-ahead fired" true (!total > 0)
@@ -331,12 +308,10 @@ let test_batch_roundtrip () =
 let test_batch_sort_matches_tuple_sort () =
   let doc = Lazy.force Helpers.pers_1k in
   let idx = Element_index.build doc in
-  let metrics = Metrics.create () in
   let tuples =
-    Stack_tree.join ~metrics ~doc ~axis:Axes.Descendant
-      ~algo:Plan.Stack_tree_anc
-      ~anc:(scan idx "manager" 0 2 ~metrics, 0)
-      ~desc:(scan idx "name" 1 2 ~metrics, 1)
+    Stack_tree.join ~doc ~axis:Axes.Descendant ~algo:Plan.Stack_tree_anc
+      ~anc:(scan idx "manager" 0 2, 0)
+      ~desc:(scan idx "name" 1 2, 1)
       ()
   in
   (* result is ordered by slot 0; re-sorting by slot 1 must agree with the

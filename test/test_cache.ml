@@ -134,9 +134,9 @@ let effort_is_zero (r : Optimizer.result) =
 let test_warm_run_skips_search () =
   let db = db () in
   let p = Helpers.pat pers_pat in
-  let cold = Database.run_query db p in
+  let cold = Database.run db p in
   check cb "cold run searched" true (cold.Database.opt.Optimizer.plans_considered > 0);
-  let warm = Database.run_query db p in
+  let warm = Database.run db p in
   check cb "warm run searched nothing" true (effort_is_zero warm.Database.opt);
   let s = Plan_cache.stats (Database.plan_cache db) in
   check cb "hit counted" true (s.Plan_cache.hits >= 1);
@@ -165,8 +165,11 @@ let test_cold_opts_bypass () =
   let run = Database.run ~opts:(Query_opts.cold Query_opts.default) db p in
   check cb "cold opts always search" true
     (run.Database.opt.Optimizer.plans_considered > 0);
-  (* Database.optimize is the fresh-search entry Table 2 relies on *)
-  let r = Database.optimize db p in
+  (* a cache-off prepare is the fresh search Table 2 relies on *)
+  let r =
+    Database.prepared_result
+      (Database.prepare ~opts:(Query_opts.make ~use_cache:false ()) db p)
+  in
   check cb "optimize never reads the cache" true (r.Optimizer.plans_considered > 0)
 
 let test_epoch_invalidation () =

@@ -18,7 +18,7 @@ let test_database_basics () =
 let test_database_run_query () =
   let db = Database.of_string Helpers.tiny_pers_xml in
   let p = Helpers.pat "manager(//employee(/name))" in
-  let run = Database.run_query db p in
+  let run = Database.run db p in
   check ci "matches" 4 (Array.length run.Database.exec.Executor.tuples);
   let naive = Naive.count (Database.index db) p in
   check ci "naive agrees" naive (Array.length run.Database.exec.Executor.tuples);
@@ -31,7 +31,7 @@ let test_database_all_algorithms () =
   let expected = Naive.count (Database.index db) p in
   List.iter
     (fun algo ->
-      let run = Database.run_query ~algorithm:algo db p in
+      let run = Database.run ~opts:(Query_opts.make ~algorithm:algo ()) db p in
       check ci
         ("count with " ^ Optimizer.name algo)
         expected
@@ -41,7 +41,7 @@ let test_database_all_algorithms () =
 let test_database_explain () =
   let db = Database.of_string Helpers.tiny_pers_xml in
   let p = Helpers.pat "manager(//employee)" in
-  let s = Database.explain db p in
+  let s = Database.explain_prepared (Database.prepare db p) in
   check cb "mentions scan" true (Helpers.contains s "IdxScan");
   check cb "mentions cost" true (Helpers.contains s "cost~")
 
@@ -89,7 +89,7 @@ let test_workload_queries_have_matches () =
     (fun (q : Workload.query) ->
       let doc = Workload.generate ~size:3000 q.Workload.dataset in
       let db = Database.of_document doc in
-      let run = Database.run_query db q.Workload.pattern in
+      let run = Database.run db q.Workload.pattern in
       check cb
         (q.Workload.id ^ " has matches")
         true
@@ -165,7 +165,8 @@ let test_order_by_end_to_end () =
               (Helpers.pat "manager(//employee(/name))")
               (Some node)
           in
-          let run = Database.run_query ~algorithm:algo db p in
+          let opts = Query_opts.make ~algorithm:algo () in
+          let run = Database.run ~opts db p in
           let tuples = run.Database.exec.Executor.tuples in
           check ci "count stable" (Naive.count (Database.index db) p)
             (Array.length tuples);
@@ -189,7 +190,7 @@ let test_mbench_attribute_query () =
   let p, _ =
     Sjos_pattern.Xpath.compile "//eNest[@aLevel='3']//eNest[@aLevel='6']"
   in
-  let run = Database.run_query db p in
+  let run = Database.run db p in
   check ci "agrees with naive" (Naive.count (Database.index db) p)
     (Array.length run.Database.exec.Executor.tuples)
 

@@ -3,6 +3,7 @@ open Sjos_storage
 open Sjos_pattern
 open Sjos_plan
 open Sjos_exec
+module Work = Sjos_obs.Work
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -35,43 +36,40 @@ let test_tuple () =
    a-ids: 0,1 ; b-ids: 2,3,5 ; c-id: 4 *)
 let st_doc = lazy (Parser.parse_string "<a><a><b/></a><b/><c><b/></c></a>")
 
-let scan_tuples _doc idx tag slot width ~metrics =
-  Operators.index_scan ~metrics ~width ~slot (Element_index.lookup idx tag)
+let scan_tuples _doc idx tag slot width =
+  Operators.index_scan ~width ~slot (Element_index.lookup idx tag)
 
 let run_join algo axis =
   let doc = Lazy.force st_doc in
   let idx = Element_index.build doc in
-  let metrics = Metrics.create () in
-  let anc = scan_tuples doc idx "a" 0 2 ~metrics in
-  let desc = scan_tuples doc idx "b" 1 2 ~metrics in
-  let out =
-    Stack_tree.join ~metrics ~doc ~axis ~algo ~anc:(anc, 0) ~desc:(desc, 1) ()
-  in
-  (out, metrics)
+  Work.measure (fun () ->
+      let anc = scan_tuples doc idx "a" 0 2 in
+      let desc = scan_tuples doc idx "b" 1 2 in
+      Stack_tree.join ~doc ~axis ~algo ~anc:(anc, 0) ~desc:(desc, 1) ())
 
 let pairs_of out = Array.to_list out |> List.map (fun t -> (Tuple.get t 0, Tuple.get t 1))
 
 let test_stj_desc_descendant () =
-  let out, metrics = run_join Plan.Stack_tree_desc Axes.Descendant in
+  let out, work = run_join Plan.Stack_tree_desc Axes.Descendant in
   (* expected (a,b) with a ancestor of b: (0,2),(1,2),(0,3),(0,5) *)
   check
     (Alcotest.list (Alcotest.pair ci ci))
     "pairs ordered by descendant"
     [ (0, 2); (1, 2); (0, 3); (0, 5) ]
     (pairs_of out);
-  check ci "output tuples" 4 metrics.Metrics.output_tuples;
-  check ci "no buffered io" 0 metrics.Metrics.io_items;
-  check ci "stack ops 2|A|" 4 metrics.Metrics.stack_ops
+  check ci "output tuples" 4 work.Work.tuples_emitted;
+  check ci "no buffered io" 0 work.Work.io_items;
+  check ci "stack ops 2|A|" 4 work.Work.stack_ops
 
 let test_stj_anc_descendant () =
-  let out, metrics = run_join Plan.Stack_tree_anc Axes.Descendant in
+  let out, work = run_join Plan.Stack_tree_anc Axes.Descendant in
   (* ordered by ancestor: a=0 pairs first (in b order), then a=1 *)
   check
     (Alcotest.list (Alcotest.pair ci ci))
     "pairs ordered by ancestor"
     [ (0, 2); (0, 3); (0, 5); (1, 2) ]
     (pairs_of out);
-  check ci "buffered io 2|AB|" 8 metrics.Metrics.io_items
+  check ci "buffered io 2|AB|" 8 work.Work.io_items
 
 let test_stj_child_axis () =
   let out, _ = run_join Plan.Stack_tree_desc Axes.Child in
@@ -83,18 +81,17 @@ let test_stj_child_axis () =
 let test_stj_empty_inputs () =
   let doc = Lazy.force st_doc in
   let idx = Element_index.build doc in
-  let metrics = Metrics.create () in
-  let a = scan_tuples doc idx "a" 0 2 ~metrics in
-  let none = scan_tuples doc idx "zz" 1 2 ~metrics in
+  let a = scan_tuples doc idx "a" 0 2 in
+  let none = scan_tuples doc idx "zz" 1 2 in
   let out =
-    Stack_tree.join ~metrics ~doc ~axis:Axes.Descendant
+    Stack_tree.join ~doc ~axis:Axes.Descendant
       ~algo:Plan.Stack_tree_desc ~anc:(a, 0) ~desc:(none, 1) ()
   in
   check ci "empty desc" 0 (Array.length out);
-  let none_anc = scan_tuples doc idx "zz" 0 2 ~metrics in
-  let b = scan_tuples doc idx "b" 1 2 ~metrics in
+  let none_anc = scan_tuples doc idx "zz" 0 2 in
+  let b = scan_tuples doc idx "b" 1 2 in
   let out2 =
-    Stack_tree.join ~metrics ~doc ~axis:Axes.Descendant
+    Stack_tree.join ~doc ~axis:Axes.Descendant
       ~algo:Plan.Stack_tree_anc ~anc:(none_anc, 0) ~desc:(b, 1) ()
   in
   check ci "empty anc" 0 (Array.length out2)
@@ -102,11 +99,10 @@ let test_stj_empty_inputs () =
 let test_stj_unsorted_rejected () =
   let doc = Lazy.force st_doc in
   let idx = Element_index.build doc in
-  let metrics = Metrics.create () in
-  let a = scan_tuples doc idx "a" 0 2 ~metrics in
+  let a = scan_tuples doc idx "a" 0 2 in
   let reversed = Array.of_list (List.rev (Array.to_list a)) in
   match
-    Stack_tree.join ~metrics ~doc ~axis:Axes.Descendant
+    Stack_tree.join ~doc ~axis:Axes.Descendant
       ~algo:Plan.Stack_tree_desc ~anc:(reversed, 0) ~desc:(a, 1) ()
   with
   | exception Invalid_argument _ -> ()
@@ -117,18 +113,17 @@ let test_stj_unsorted_rejected () =
 let test_stj_duplicate_join_values () =
   let doc = Lazy.force st_doc in
   let idx = Element_index.build doc in
-  let metrics = Metrics.create () in
   let width = 3 in
-  let a = Operators.index_scan ~metrics ~width ~slot:0 (Element_index.lookup idx "a") in
-  let b = Operators.index_scan ~metrics ~width ~slot:1 (Element_index.lookup idx "b") in
+  let a = Operators.index_scan ~width ~slot:0 (Element_index.lookup idx "a") in
+  let b = Operators.index_scan ~width ~slot:1 (Element_index.lookup idx "b") in
   let ab =
-    Stack_tree.join ~metrics ~doc ~axis:Axes.Descendant
+    Stack_tree.join ~doc ~axis:Axes.Descendant
       ~algo:Plan.Stack_tree_anc ~anc:(a, 0) ~desc:(b, 1) ()
   in
   (* ab ordered by a (slot 0), with a=0 appearing three times *)
-  let c = Operators.index_scan ~metrics ~width ~slot:2 (Element_index.lookup idx "c") in
+  let c = Operators.index_scan ~width ~slot:2 (Element_index.lookup idx "c") in
   let abc =
-    Stack_tree.join ~metrics ~doc ~axis:Axes.Descendant
+    Stack_tree.join ~doc ~axis:Axes.Descendant
       ~algo:Plan.Stack_tree_desc ~anc:(ab, 0) ~desc:(c, 2) ()
   in
   (* c=4 is a descendant of a=0 only; expect one tuple per (0,b) pair *)
@@ -146,17 +141,16 @@ let test_stj_duplicate_join_values () =
 let test_sort_operator () =
   let doc = Lazy.force st_doc in
   let idx = Element_index.build doc in
-  let metrics = Metrics.create () in
   let out, _ = run_join Plan.Stack_tree_desc Axes.Descendant in
   ignore idx;
-  let sorted = Operators.sort ~metrics ~doc ~by:0 out in
+  let sorted, work = Work.measure (fun () -> Operators.sort ~doc ~by:0 out) in
   let firsts = Array.to_list sorted |> List.map (fun t -> Tuple.get t 0) in
   check (Alcotest.list ci) "sorted by slot 0" [ 0; 0; 0; 1 ]
     (List.sort compare firsts);
   (* verify actual order, not just multiset *)
   check (Alcotest.list ci) "order" [ 0; 0; 0; 1 ] firsts;
-  check ci "sorted items" 4 metrics.Metrics.sorted_items;
-  check cb "sort cost recorded" true (metrics.Metrics.sort_cost > 0.0)
+  check ci "sorted items" 4 work.Work.sorted_items;
+  check cb "sort cost recorded" true (work.Work.sort_cost > 0.0)
 
 (* ---------- Executor vs naive oracle ---------- *)
 
@@ -255,18 +249,16 @@ let test_metrics_accounting () =
     Plan.join ~anc_side:(Plan.scan 0) ~desc_side:(Plan.scan 1) ~edge
       ~algo:Plan.Stack_tree_desc
   in
-  let run = Executor.execute idx p plan in
-  check ci "index items = |A|+|B|" 6 run.Executor.metrics.Metrics.index_items;
-  check ci "joins" 1 run.Executor.metrics.Metrics.joins;
+  let run, charged = Work.measure (fun () -> Executor.execute idx p plan) in
+  check ci "index items = |A|+|B|" 6 run.Executor.work.Work.candidates_scanned;
   check cb "cost units positive" true (run.Executor.cost_units > 0.0);
-  let m2 = Metrics.create () in
-  Metrics.add m2 run.Executor.metrics;
-  check ci "metrics add" run.Executor.metrics.Metrics.index_items
-    m2.Metrics.index_items;
-  Metrics.reset m2;
-  check ci "metrics reset" 0 m2.Metrics.index_items;
-  check cb "metrics pp" true
-    (String.length (Fmt.str "%a" Metrics.pp m2) > 0)
+  check cb "cost units priced from the run's work" true
+    (run.Executor.cost_units
+    = Executor.cost_units Sjos_cost.Cost_model.default run.Executor.work);
+  (* the run's own work is exactly what it charged the calling domain *)
+  Helpers.check_work "run work = domain delta" charged run.Executor.work;
+  check cb "work pp" true
+    (String.length (Fmt.str "%a" Work.pp run.Executor.work) > 0)
 
 (* ---------- PathStack holistic join ---------- *)
 
@@ -275,8 +267,7 @@ let test_path_stack_matches_naive () =
   List.iter
     (fun s ->
       let p = Helpers.pat s in
-      let metrics = Metrics.create () in
-      let out = Path_stack.run ~metrics idx p in
+      let out = Path_stack.run idx p in
       Helpers.check_same_matches ("pathstack " ^ s) (Naive.matches idx p)
         (Array.to_list out))
     [
@@ -292,8 +283,7 @@ let test_path_stack_ordered_by_leaf () =
   let idx = Lazy.force Helpers.pers_1k_index in
   let doc = Element_index.document idx in
   let p = Helpers.pat "manager(//employee(/name))" in
-  let metrics = Metrics.create () in
-  let out = Path_stack.run ~metrics idx p in
+  let out = Path_stack.run idx p in
   check cb "has results" true (Array.length out > 0);
   let ok = ref true in
   Array.iteri
@@ -316,11 +306,10 @@ let test_path_stack_no_intermediate_blowup () =
      output *)
   let idx = Lazy.force Helpers.pers_1k_index in
   let p = Helpers.pat "company(//manager(//name))" in
-  let metrics = Metrics.create () in
-  let out = Path_stack.run ~metrics idx p in
+  let out, work = Work.measure (fun () -> Path_stack.run idx p) in
   check ci "output tuples metric = result size" (Array.length out)
-    metrics.Metrics.output_tuples;
-  check ci "no buffered io" 0 metrics.Metrics.io_items
+    work.Work.tuples_emitted;
+  check ci "no buffered io" 0 work.Work.io_items
 
 (* ---------- TwigStack-style holistic twig join ---------- *)
 
@@ -329,8 +318,7 @@ let test_twig_join_matches_naive () =
   List.iter
     (fun s ->
       let p = Helpers.pat s in
-      let metrics = Metrics.create () in
-      let out = Twig_join.run ~metrics idx p in
+      let out = Twig_join.run idx p in
       Helpers.check_same_matches ("twig " ^ s) (Naive.matches idx p)
         (Array.to_list out))
     ([ "manager(//employee,//department)";
@@ -344,8 +332,7 @@ let test_twig_join_matches_naive () =
 let test_twig_join_path_solutions () =
   let idx = Lazy.force Helpers.tiny_index in
   let p = Helpers.pat "manager(//employee(/name),//department)" in
-  let metrics = Metrics.create () in
-  let per_leaf = Twig_join.path_solutions ~metrics idx p in
+  let per_leaf = Twig_join.path_solutions idx p in
   check ci "two leaves" 2 (List.length per_leaf);
   (* leaf C=2 path A//B/C; leaf D=3 path A//D *)
   let c_solutions = List.assoc 2 per_leaf in

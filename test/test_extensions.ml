@@ -160,13 +160,14 @@ let test_randomized_deterministic () =
 
 (* ---------- Calibrate ---------- *)
 
-let synthetic_metrics (i, s, io, st) =
-  let m = Metrics.create () in
-  m.Metrics.index_items <- i;
-  m.Metrics.sort_cost <- s;
-  m.Metrics.io_items <- io;
-  m.Metrics.stack_ops <- st;
-  m
+let synthetic_work (i, s, io, st) =
+  {
+    (Sjos_obs.Work.zero ()) with
+    Sjos_obs.Work.candidates_scanned = i;
+    sort_cost = s;
+    io_items = io;
+    stack_ops = st;
+  }
 
 let test_calibrate_recovers_factors () =
   let truth =
@@ -175,8 +176,8 @@ let test_calibrate_recovers_factors () =
   let observations =
     List.map
       (fun spec ->
-        let m = synthetic_metrics spec in
-        (m, Metrics.cost_units truth m))
+        let w = synthetic_work spec in
+        (w, Executor.cost_units truth w))
       [
         (100, 5.0, 20, 300);
         (50, 80.0, 5, 10);
@@ -196,7 +197,7 @@ let test_calibrate_recovers_factors () =
 
 let test_calibrate_degenerate () =
   (* one observation: singular system; fall back to scaled defaults *)
-  let m = synthetic_metrics (100, 0.0, 0, 0) in
+  let m = synthetic_work (100, 0.0, 0, 0) in
   let fitted = Calibrate.fit [ (m, 5.0) ] in
   Helpers.checkf "prediction matches total" 5.0 (Calibrate.predict fitted m);
   match Calibrate.fit [] with
@@ -209,8 +210,8 @@ let test_calibrate_on_real_runs () =
     List.concat_map
       (fun (q : Workload.query) ->
         if q.Workload.dataset = Workload.Pers then begin
-          let run = Database.run_query db q.Workload.pattern in
-          [ (run.Database.exec.Executor.metrics, run.Database.exec.Executor.seconds) ]
+          let run = Database.run db q.Workload.pattern in
+          [ (run.Database.exec.Executor.work, run.Database.exec.Executor.seconds) ]
         end
         else [])
       Workload.queries

@@ -135,7 +135,7 @@ let test_noop_mode () =
   Trace.event "ignored event";
   let db = Database.of_string Helpers.tiny_pers_xml in
   let pat = Sjos_pattern.Parse.pattern "manager(//employee(/name))" in
-  ignore (Database.analyze db pat);
+  ignore (Database.analyze_prepared (Database.prepare db pat));
   check cb "no spans recorded" true (Trace.is_empty ());
   (* a full optimize+execute left the registry without a single instrument —
      the guarded hot paths never even registered their names *)
@@ -159,7 +159,8 @@ let test_counters_invariant_under_tracing () =
   in
   let pat = Workload.q_pers_3_d.Workload.pattern in
   let effort algo =
-    let r = Database.optimize ~algorithm:algo db pat in
+    let opts = Query_opts.make ~algorithm:algo ~use_cache:false () in
+    let r = Database.prepared_result (Database.prepare ~opts db pat) in
     let e = r.Sjos_core.Optimizer.effort in
     Sjos_core.Effort.
       (e.considered, e.generated, e.expanded, e.pruned_bound, e.pruned_deadend)
@@ -188,7 +189,9 @@ let analyze_queries () =
       let db =
         Database.of_document (Workload.generate ~size:600 q.Workload.dataset)
       in
-      (q, db, Database.analyze db q.Workload.pattern))
+      ( q,
+        db,
+        Database.analyze_prepared (Database.prepare db q.Workload.pattern) ))
     Workload.queries
 
 let test_analyze_rows_populated () =
@@ -239,7 +242,7 @@ let test_analyze_rows_populated () =
 let test_analyze_renderings () =
   let db = Database.of_string Helpers.tiny_pers_xml in
   let pat = Sjos_pattern.Parse.pattern "manager(//employee(/name))" in
-  let a = Database.analyze db pat in
+  let a = Database.analyze_prepared (Database.prepare db pat) in
   let table = Sjos_plan.Explain.analyze_to_string pat a.Database.rows in
   List.iter
     (fun needle ->
@@ -264,7 +267,10 @@ let test_q_error () =
 let test_optimizer_result_json () =
   let db = Database.of_string Helpers.tiny_pers_xml in
   let pat = Sjos_pattern.Parse.pattern "manager(//employee(/name))" in
-  let r = Database.optimize ~algorithm:Sjos_core.Optimizer.Dpp db pat in
+  let r =
+    Database.prepared_result
+      (Database.prepare ~opts:(Query_opts.make ~use_cache:false ()) db pat)
+  in
   let json = Sjos_core.Optimizer.result_to_json pat r in
   check cb "algorithm present" true
     (Json.member "algorithm" json = Some (Json.Str "DPP"));

@@ -2,8 +2,8 @@
 
    Differential: the parallel paths — sharded Stack-Tree kernels, the
    executor's pool plumbing, the workload fan-out — must produce
-   bit-identical tuples, orderings and metrics (including
-   [skipped_items]) to their serial runs, on randomized documents and
+   bit-identical tuples, orderings and work counters (including
+   [items_skipped]) to their serial runs, on randomized documents and
    for every pool size.
 
    Regression: each shared-state fix (Registry atomics, Lru/Plan_cache
@@ -52,23 +52,6 @@ let check_same_tuple_seq msg (expected : Tuple.t array) (actual : Tuple.t array)
           (Tuple.to_string t)
           (Tuple.to_string actual.(i)))
     expected
-
-(* Every counter, [skipped_items] included: the sharded kernels claim
-   bit-identical accounting, not just bit-identical output. *)
-let check_metrics_identical msg (a : Metrics.t) (b : Metrics.t) =
-  check ci (msg ^ ": index_items") a.Metrics.index_items b.Metrics.index_items;
-  check ci (msg ^ ": stack_ops") a.Metrics.stack_ops b.Metrics.stack_ops;
-  check ci (msg ^ ": io_items") a.Metrics.io_items b.Metrics.io_items;
-  check ci (msg ^ ": sorted_items") a.Metrics.sorted_items
-    b.Metrics.sorted_items;
-  Helpers.check_float (msg ^ ": sort_cost") a.Metrics.sort_cost
-    b.Metrics.sort_cost;
-  check ci (msg ^ ": output_tuples") a.Metrics.output_tuples
-    b.Metrics.output_tuples;
-  check ci (msg ^ ": skipped_items") a.Metrics.skipped_items
-    b.Metrics.skipped_items;
-  check ci (msg ^ ": joins") a.Metrics.joins b.Metrics.joins;
-  check ci (msg ^ ": sorts") a.Metrics.sorts b.Metrics.sorts
 
 (* ---------- the pool itself ---------- *)
 
@@ -127,18 +110,15 @@ let docs_under_test seed =
       Sjos_datagen.Mbench.generate ~seed:(seed + 2) ~target_nodes:600 () );
   ]
 
-let scan idx tag slot width ~metrics =
-  Operators.index_scan ~metrics ~width ~slot (Element_index.lookup idx tag)
+let scan idx tag slot width =
+  Operators.index_scan ~width ~slot (Element_index.lookup idx tag)
 
 let join_with ?pool ~doc ~idx ~atag ~dtag ~axis ~algo () =
-  let metrics = Metrics.create () in
-  let anc = scan idx atag 0 2 ~metrics in
-  let desc = scan idx dtag 1 2 ~metrics in
-  let out =
-    Stack_tree.join ?pool ~par_min_rows:0 ~metrics ~doc ~axis ~algo
-      ~anc:(anc, 0) ~desc:(desc, 1) ()
-  in
-  (out, metrics)
+  Sjos_obs.Work.measure (fun () ->
+      let anc = scan idx atag 0 2 in
+      let desc = scan idx dtag 1 2 in
+      Stack_tree.join ?pool ~par_min_rows:0 ~doc ~axis ~algo ~anc:(anc, 0)
+        ~desc:(desc, 1) ())
 
 let test_kernel_shard_differential () =
   [ 2; 4 ]
@@ -176,7 +156,10 @@ let test_kernel_shard_differential () =
                      join_with ~pool ~doc ~idx ~atag ~dtag ~axis ~algo ()
                    in
                    check_same_tuple_seq msg serial par;
-                   check_metrics_identical msg sm pm)
+                   (* every counter, items_skipped included: the sharded
+                      kernels claim bit-identical accounting, not just
+                      bit-identical output *)
+                   Helpers.check_work msg sm pm)
                  [ Plan.Stack_tree_desc; Plan.Stack_tree_anc ])
              [ Axes.Descendant; Axes.Child ]
          done)
@@ -216,8 +199,8 @@ let test_workload_differential () =
            r'.Database.opt.Sjos_core.Optimizer.plans_considered;
          check_same_tuple_seq msg r.Database.exec.Executor.tuples
            r'.Database.exec.Executor.tuples;
-         check_metrics_identical msg r.Database.exec.Executor.metrics
-           r'.Database.exec.Executor.metrics)
+         Helpers.check_work msg r.Database.exec.Executor.work
+           r'.Database.exec.Executor.work)
        reference
 
 (* ---------- regression: Registry under concurrency ---------- *)

@@ -157,13 +157,12 @@ let prop_stack_tree_equals_filter =
     (fun seed ->
       let doc = random_doc seed in
       let idx = Element_index.build doc in
-      let metrics = Metrics.create () in
-      let a = Operators.index_scan ~metrics ~width:2 ~slot:0 (Element_index.lookup idx "a") in
-      let b = Operators.index_scan ~metrics ~width:2 ~slot:1 (Element_index.lookup idx "b") in
+      let a = Operators.index_scan ~width:2 ~slot:0 (Element_index.lookup idx "a") in
+      let b = Operators.index_scan ~width:2 ~slot:1 (Element_index.lookup idx "b") in
       let axis = if seed mod 2 = 0 then Axes.Descendant else Axes.Child in
       let algo = if seed mod 3 = 0 then Plan.Stack_tree_anc else Plan.Stack_tree_desc in
       let joined =
-        Stack_tree.join ~metrics ~doc ~axis ~algo ~anc:(a, 0) ~desc:(b, 1) ()
+        Stack_tree.join ~doc ~axis ~algo ~anc:(a, 0) ~desc:(b, 1) ()
       in
       let expected =
         Array.to_list a
@@ -184,12 +183,11 @@ let prop_join_output_ordered =
     (fun seed ->
       let doc = random_doc seed in
       let idx = Element_index.build doc in
-      let metrics = Metrics.create () in
-      let a = Operators.index_scan ~metrics ~width:2 ~slot:0 (Element_index.lookup idx "a") in
-      let b = Operators.index_scan ~metrics ~width:2 ~slot:1 (Element_index.lookup idx "b") in
+      let a = Operators.index_scan ~width:2 ~slot:0 (Element_index.lookup idx "a") in
+      let b = Operators.index_scan ~width:2 ~slot:1 (Element_index.lookup idx "b") in
       let check_sorted algo slot =
         let out =
-          Stack_tree.join ~metrics ~doc ~axis:Axes.Descendant ~algo ~anc:(a, 0)
+          Stack_tree.join ~doc ~axis:Axes.Descendant ~algo ~anc:(a, 0)
             ~desc:(b, 1) ()
         in
         let ok = ref true in
@@ -221,8 +219,7 @@ let prop_path_stack_equals_naive =
       let doc = random_doc seed in
       let idx = Element_index.build doc in
       let p = random_path_pattern seed in
-      let metrics = Metrics.create () in
-      let out = Path_stack.run ~metrics idx p in
+      let out = Path_stack.run idx p in
       Helpers.sorted_tuples (Array.to_list out)
       = Helpers.sorted_tuples (Naive.matches idx p))
 
@@ -232,8 +229,7 @@ let prop_twig_join_equals_naive =
       let doc = random_doc seed in
       let idx = Element_index.build doc in
       let p = random_pattern seed in
-      let metrics = Metrics.create () in
-      let out = Twig_join.run ~metrics idx p in
+      let out = Twig_join.run idx p in
       Helpers.sorted_tuples (Array.to_list out)
       = Helpers.sorted_tuples (Naive.matches idx p))
 
@@ -243,18 +239,15 @@ let prop_mpmgjn_equals_stack_tree =
       let doc = random_doc seed in
       let idx = Element_index.build doc in
       let axis = if seed mod 2 = 0 then Axes.Descendant else Axes.Child in
-      let m1 = Metrics.create () and m2 = Metrics.create () in
-      let scan m slot tag =
-        Operators.index_scan ~metrics:m ~width:2 ~slot
-          (Element_index.lookup idx tag)
+      let scan slot tag =
+        Operators.index_scan ~width:2 ~slot (Element_index.lookup idx tag)
       in
       let st =
-        Stack_tree.join ~metrics:m1 ~doc ~axis ~algo:Plan.Stack_tree_anc
-          ~anc:(scan m1 0 "a", 0) ~desc:(scan m1 1 "b", 1) ()
+        Stack_tree.join ~doc ~axis ~algo:Plan.Stack_tree_anc
+          ~anc:(scan 0 "a", 0) ~desc:(scan 1 "b", 1) ()
       in
       let mj =
-        Merge_join.join ~metrics:m2 ~doc ~axis ~anc:(scan m2 0 "a", 0)
-          ~desc:(scan m2 1 "b", 1)
+        Merge_join.join ~doc ~axis ~anc:(scan 0 "a", 0) ~desc:(scan 1 "b", 1)
       in
       Helpers.sorted_tuples (Array.to_list st)
       = Helpers.sorted_tuples (Array.to_list mj))

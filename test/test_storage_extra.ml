@@ -85,11 +85,10 @@ let mj_doc = lazy (Parser.parse_string "<a><a><b/></a><b/><c><b/></c></a>")
 let test_mpmgjn_pairs () =
   let doc = Lazy.force mj_doc in
   let idx = Element_index.build doc in
-  let metrics = Metrics.create () in
-  let a = Operators.index_scan ~metrics ~width:2 ~slot:0 (Element_index.lookup idx "a") in
-  let b = Operators.index_scan ~metrics ~width:2 ~slot:1 (Element_index.lookup idx "b") in
+  let a = Operators.index_scan ~width:2 ~slot:0 (Element_index.lookup idx "a") in
+  let b = Operators.index_scan ~width:2 ~slot:1 (Element_index.lookup idx "b") in
   let out =
-    Merge_join.join ~metrics ~doc ~axis:Axes.Descendant ~anc:(a, 0) ~desc:(b, 1)
+    Merge_join.join ~doc ~axis:Axes.Descendant ~anc:(a, 0) ~desc:(b, 1)
   in
   let pairs =
     Array.to_list out |> List.map (fun t -> (Tuple.get t 0, Tuple.get t 1))
@@ -104,21 +103,18 @@ let test_mpmgjn_matches_stack_tree () =
   let doc = Element_index.document idx in
   List.iter
     (fun (anc_tag, desc_tag, axis) ->
-      let m1 = Metrics.create () and m2 = Metrics.create () in
-      let scan m slot tag =
-        Operators.index_scan ~metrics:m ~width:2 ~slot
-          (Element_index.lookup idx tag)
+      let scan slot tag =
+        Operators.index_scan ~width:2 ~slot (Element_index.lookup idx tag)
       in
       let st =
-        Stack_tree.join ~metrics:m1 ~doc ~axis ~algo:Sjos_plan.Plan.Stack_tree_anc
-          ~anc:(scan m1 0 anc_tag, 0)
-          ~desc:(scan m1 1 desc_tag, 1)
+        Stack_tree.join ~doc ~axis ~algo:Sjos_plan.Plan.Stack_tree_anc
+          ~anc:(scan 0 anc_tag, 0)
+          ~desc:(scan 1 desc_tag, 1)
           ()
       in
       let mj =
-        Merge_join.join ~metrics:m2 ~doc ~axis
-          ~anc:(scan m2 0 anc_tag, 0)
-          ~desc:(scan m2 1 desc_tag, 1)
+        Merge_join.join ~doc ~axis ~anc:(scan 0 anc_tag, 0)
+          ~desc:(scan 1 desc_tag, 1)
       in
       Helpers.check_same_matches
         (Printf.sprintf "%s-%s" anc_tag desc_tag)
@@ -135,36 +131,38 @@ let test_mpmgjn_rescans_nested () =
      count exceeds Stack-Tree's stack-op count *)
   let idx = Lazy.force Helpers.pers_1k_index in
   let doc = Element_index.document idx in
-  let m1 = Metrics.create () and m2 = Metrics.create () in
-  let scan m slot tag =
-    Operators.index_scan ~metrics:m ~width:2 ~slot (Element_index.lookup idx tag)
+  let scan slot tag =
+    Operators.index_scan ~width:2 ~slot (Element_index.lookup idx tag)
   in
-  ignore
-    (Stack_tree.join ~metrics:m1 ~doc ~axis:Axes.Descendant
-       ~algo:Sjos_plan.Plan.Stack_tree_desc
-       ~anc:(scan m1 0 "manager", 0)
-       ~desc:(scan m1 1 "name", 1)
-       ());
-  ignore
-    (Merge_join.join ~metrics:m2 ~doc ~axis:Axes.Descendant
-       ~anc:(scan m2 0 "manager", 0)
-       ~desc:(scan m2 1 "name", 1));
+  let _, w1 =
+    Sjos_obs.Work.measure (fun () ->
+        Stack_tree.join ~doc ~axis:Axes.Descendant
+          ~algo:Sjos_plan.Plan.Stack_tree_desc
+          ~anc:(scan 0 "manager", 0)
+          ~desc:(scan 1 "name", 1)
+          ())
+  in
+  let _, w2 =
+    Sjos_obs.Work.measure (fun () ->
+        Merge_join.join ~doc ~axis:Axes.Descendant
+          ~anc:(scan 0 "manager", 0)
+          ~desc:(scan 1 "name", 1))
+  in
+  let st_ops = w1.Sjos_obs.Work.stack_ops
+  and mj_ops = w2.Sjos_obs.Work.stack_ops in
   check cb
-    (Printf.sprintf "MPMGJN steps (%d) > Stack-Tree ops (%d)"
-       m2.Metrics.stack_ops m1.Metrics.stack_ops)
-    true
-    (m2.Metrics.stack_ops > m1.Metrics.stack_ops)
+    (Printf.sprintf "MPMGJN steps (%d) > Stack-Tree ops (%d)" mj_ops st_ops)
+    true (mj_ops > st_ops)
 
 let test_mpmgjn_unsorted_rejected () =
   let doc = Lazy.force mj_doc in
   let idx = Element_index.build doc in
-  let metrics = Metrics.create () in
   let a =
-    Operators.index_scan ~metrics ~width:2 ~slot:0 (Element_index.lookup idx "a")
+    Operators.index_scan ~width:2 ~slot:0 (Element_index.lookup idx "a")
   in
   let reversed = Array.of_list (List.rev (Array.to_list a)) in
   expect_invalid (fun () ->
-      Merge_join.join ~metrics ~doc ~axis:Axes.Descendant ~anc:(reversed, 0)
+      Merge_join.join ~doc ~axis:Axes.Descendant ~anc:(reversed, 0)
         ~desc:(a, 1))
 
 let suite =

@@ -1,6 +1,7 @@
 (* Differential suite for the backend-polymorphic column store: the Disk
    backend must be observationally identical to Mem — same tuples in the
-   same order, same executor metrics, same deterministic work counters —
+   same order, same deterministic work counters, per executor run and
+   per query —
    across page sizes, pool sizes (including pools small enough to force
    mid-join eviction), kernels, chaos faults and domain counts.  The only
    permitted divergence is the IO accounting ([Work.page_touches],
@@ -29,18 +30,11 @@ let check_same_tuple_seq msg (expected : Tuple.t array) (actual : Tuple.t array)
           (Tuple.to_string actual.(i)))
     expected
 
-let check_metrics_identical msg (a : Metrics.t) (b : Metrics.t) =
-  check ci (msg ^ ": index_items") a.Metrics.index_items b.Metrics.index_items;
-  check ci (msg ^ ": output_tuples") a.Metrics.output_tuples
-    b.Metrics.output_tuples;
-  check ci (msg ^ ": stack_ops") a.Metrics.stack_ops b.Metrics.stack_ops;
-  check ci (msg ^ ": io_items") a.Metrics.io_items b.Metrics.io_items;
-  check ci (msg ^ ": skipped_items") a.Metrics.skipped_items
-    b.Metrics.skipped_items;
-  check ci (msg ^ ": sorted_items") a.Metrics.sorted_items
-    b.Metrics.sorted_items;
-  check ci (msg ^ ": joins") a.Metrics.joins b.Metrics.joins;
-  check ci (msg ^ ": sorts") a.Metrics.sorts b.Metrics.sorts
+(* Every counter but [page_touches], the one the backends may differ on. *)
+let check_work_mod_pages msg (a : Work.t) (b : Work.t) =
+  Helpers.check_work msg
+    { a with Work.page_touches = 0 }
+    { b with Work.page_touches = 0 }
 
 (* The workload slice used throughout: pure-tag leaves (served lazily on
    Disk) and one child-axis query. *)
@@ -57,7 +51,7 @@ let run_one db text =
     Work.scoped (fun () -> Database.run db (Helpers.pat text))
   in
   let r = match outcome with Ok r -> r | Error e -> raise e in
-  (r.Database.exec.Executor.tuples, r.Database.exec.Executor.metrics, work)
+  (r.Database.exec.Executor.tuples, r.Database.exec.Executor.work, work)
 
 (* ---------- Mem vs Disk over the page/pool grid ---------- *)
 
@@ -81,7 +75,7 @@ let test_differential () =
           let tm, mm, wm = run_one db_mem text in
           let td, md, wd = run_one db_disk text in
           check_same_tuple_seq msg tm td;
-          check_metrics_identical msg mm md;
+          check_work_mod_pages msg mm md;
           check cb (msg ^ ": work equal mod IO") true (Work.equal_mod_io wm wd);
           check ci (msg ^ ": core score") (Work.core_score wm)
             (Work.core_score wd);
@@ -99,18 +93,18 @@ let test_differential () =
 
 (* ---------- lazy leaves feeding the kernels directly ---------- *)
 
-let leaf_scan store ~width ~slot tag (m : Metrics.t) =
+let leaf_scan store ~width ~slot tag =
   match Column_store.leaf store (Candidate.of_tag tag) with
   | None -> Alcotest.failf "no leaf for pure tag %s" tag
   | Some lf ->
-      m.Metrics.index_items <-
-        m.Metrics.index_items + Column_store.leaf_length lf;
+      let w = Work.current () in
+      w.Work.candidates_scanned <-
+        w.Work.candidates_scanned + Column_store.leaf_length lf;
       Stack_tree.leaf ~width ~slot lf
 
-let rows_scan index ~width ~slot tag (m : Metrics.t) =
+let rows_scan index ~width ~slot tag =
   Stack_tree.Rows
-    (Operators.index_scan_batch ~metrics:m ~width ~slot
-       (Element_index.cols index tag))
+    (Operators.index_scan_batch ~width ~slot (Element_index.cols index tag))
 
 let algo_name = function
   | Plan.Stack_tree_desc -> "stj-desc"
@@ -136,49 +130,47 @@ let test_leaf_kernel () =
           let name =
             Printf.sprintf "%s/%s" (algo_name algo) (Axes.axis_to_string axis)
           in
-          let reference =
-            let m = Metrics.create () in
-            let anc = rows_scan index ~width:2 ~slot:0 "manager" m in
-            let desc = rows_scan index ~width:2 ~slot:1 "employee" m in
-            let b =
-              Stack_tree.join_batch_in ~metrics:m ~doc ~axis ~algo
-                ~anc:(anc, 0) ~desc:(desc, 1) ()
-            in
-            (Batch.to_tuples b, m)
+          let reference, reference_work =
+            Work.measure (fun () ->
+                let anc = rows_scan index ~width:2 ~slot:0 "manager" in
+                let desc = rows_scan index ~width:2 ~slot:1 "employee" in
+                Batch.to_tuples
+                  (Stack_tree.join_batch_in ~doc ~axis ~algo ~anc:(anc, 0)
+                     ~desc:(desc, 1) ()))
           in
           let variants =
             [
               ( "lazy leaves",
-                fun m ->
-                  ( leaf_scan store ~width:2 ~slot:0 "manager" m,
-                    leaf_scan store ~width:2 ~slot:1 "employee" m,
+                fun () ->
+                  ( leaf_scan store ~width:2 ~slot:0 "manager",
+                    leaf_scan store ~width:2 ~slot:1 "employee",
                     None,
                     None ) );
               ( "leaf anc, rows desc",
-                fun m ->
-                  ( leaf_scan store ~width:2 ~slot:0 "manager" m,
-                    rows_scan index ~width:2 ~slot:1 "employee" m,
+                fun () ->
+                  ( leaf_scan store ~width:2 ~slot:0 "manager",
+                    rows_scan index ~width:2 ~slot:1 "employee",
                     None,
                     None ) );
               ( "sharded leaves",
-                fun m ->
-                  ( leaf_scan store ~width:2 ~slot:0 "manager" m,
-                    leaf_scan store ~width:2 ~slot:1 "employee" m,
+                fun () ->
+                  ( leaf_scan store ~width:2 ~slot:0 "manager",
+                    leaf_scan store ~width:2 ~slot:1 "employee",
                     Some pool,
                     Some 1 ) );
             ]
           in
           List.iter
             (fun (vname, build) ->
-              let m = Metrics.create () in
-              let anc, desc, pool, par_min_rows = build m in
-              let b =
-                Stack_tree.join_batch_in ?pool ?par_min_rows ~metrics:m ~doc
-                  ~axis ~algo ~anc:(anc, 0) ~desc:(desc, 1) ()
+              let b, w =
+                Work.measure (fun () ->
+                    let anc, desc, pool, par_min_rows = build () in
+                    Stack_tree.join_batch_in ?pool ?par_min_rows ~doc ~axis
+                      ~algo ~anc:(anc, 0) ~desc:(desc, 1) ())
               in
               let msg = name ^ " " ^ vname in
-              check_same_tuple_seq msg (fst reference) (Batch.to_tuples b);
-              check_metrics_identical msg (snd reference) m)
+              check_same_tuple_seq msg reference (Batch.to_tuples b);
+              check_work_mod_pages msg reference_work w)
             variants)
         [ Axes.Descendant; Axes.Child ])
     [ Plan.Stack_tree_desc; Plan.Stack_tree_anc ]
@@ -196,11 +188,10 @@ let test_leaf_laziness_bounded () =
   in
   Fun.protect ~finally:(fun () -> Column_store.dispose store)
   @@ fun () ->
-  let m = Metrics.create () in
-  let anc = leaf_scan store ~width:2 ~slot:0 "manager" m in
-  let desc = leaf_scan store ~width:2 ~slot:1 "employee" m in
+  let anc = leaf_scan store ~width:2 ~slot:0 "manager" in
+  let desc = leaf_scan store ~width:2 ~slot:1 "employee" in
   ignore
-    (Stack_tree.join_batch_in ~metrics:m ~doc ~axis:Axes.Descendant
+    (Stack_tree.join_batch_in ~doc ~axis:Axes.Descendant
        ~algo:Plan.Stack_tree_desc ~anc:(anc, 0) ~desc:(desc, 1) ());
   let lazy_misses =
     (Option.get (Column_store.io_stats store)).Pager.misses
@@ -238,8 +229,8 @@ let test_legacy_kernel_disk () =
     legacy.Executor.tuples;
   check_same_tuple_seq "columnar@disk vs mem" mem.Executor.tuples
     columnar.Executor.tuples;
-  check ci "legacy index_items" mem.Executor.metrics.Metrics.index_items
-    legacy.Executor.metrics.Metrics.index_items
+  check ci "legacy index_items" mem.Executor.work.Work.candidates_scanned
+    legacy.Executor.work.Work.candidates_scanned
 
 (* ---------- predicate specs (no leaf path) stay identical ---------- *)
 
@@ -255,7 +246,7 @@ let test_predicate_spec_differential () =
   let tm, mm, wm = run_one db_mem text in
   let td, md, wd = run_one db_disk text in
   check_same_tuple_seq "mbench attr query" tm td;
-  check_metrics_identical "mbench attr query" mm md;
+  check_work_mod_pages "mbench attr query" mm md;
   check cb "work equal mod IO" true (Work.equal_mod_io wm wd);
   Database.dispose db_disk
 

@@ -113,7 +113,8 @@ let test_columnar_work_deterministic () =
   check ci "tuples identical" (Array.length r1.Executor.tuples)
     (Array.length r2.Executor.tuples);
   check cb "io_items covers path solutions" true
-    (r1.Executor.metrics.Metrics.io_items >= 2 * Array.length r1.Executor.tuples
+    (r1.Executor.work.Sjos_obs.Work.io_items
+     >= 2 * Array.length r1.Executor.tuples
     || Array.length r1.Executor.tuples = 0
     || Pattern.edge_count p = 0)
 
@@ -164,12 +165,16 @@ let pers_db = lazy (Database.of_document (Lazy.force Helpers.pers_1k))
 let test_holistic_engine_forced () =
   let db = Lazy.force pers_db in
   let p = Helpers.pat "manager(//employee(/name),//department)" in
-  let r = Database.optimize ~engine:Optimizer.Holistic db p in
+  let prep =
+    Database.prepare
+      ~opts:(Query_opts.make ~engine:Optimizer.Holistic ~use_cache:false ())
+      db p
+  in
+  let r = Database.prepared_result prep in
   check cb "plan is holistic" true (Sjos_plan.Plan.uses_holistic r.Optimizer.plan);
   check ci "one plan considered" 1 r.Optimizer.plans_considered;
   check cb "EXPLAIN names the operator" true
-    (Helpers.contains (Database.explain ~engine:Optimizer.Holistic db p)
-       "TwigStack")
+    (Helpers.contains (Database.explain_prepared prep) "TwigStack")
 
 let test_auto_matches_binary_results () =
   let db = Lazy.force pers_db in
@@ -243,7 +248,7 @@ let test_legacy_verifies_streams () =
   in
   (match
      Error.protect (fun () ->
-         Twig_join.run ~candidates:reversed ~metrics:(Metrics.create ()) idx p)
+         Twig_join.run ~candidates:reversed idx p)
    with
   | Error (Error.Corrupt_input { reason; _ }) ->
       check cb "reason mentions order" true
@@ -255,7 +260,7 @@ let test_legacy_verifies_streams () =
   in
   match
     Error.protect (fun () ->
-        Twig_join.run ~candidates:bogus ~metrics:(Metrics.create ()) idx p)
+        Twig_join.run ~candidates:bogus idx p)
   with
   | Error (Error.Corrupt_input { reason; _ }) ->
       check cb "reason mentions the id" true (Helpers.contains reason "999")
@@ -267,9 +272,8 @@ let test_legacy_external_streams_honest () =
   let idx = Lazy.force Helpers.tiny_index in
   let p = Helpers.pat "manager(//employee(/name))" in
   let honest i = Candidate.select idx (Pattern.label p i) in
-  let m1 = Metrics.create () and m2 = Metrics.create () in
-  let a = Twig_join.run ~metrics:m1 idx p in
-  let b = Twig_join.run ~candidates:honest ~metrics:m2 idx p in
+  let a = Twig_join.run idx p in
+  let b = Twig_join.run ~candidates:honest idx p in
   Helpers.check_same_matches "external streams change nothing"
     (Array.to_list a) (Array.to_list b)
 

@@ -33,11 +33,6 @@ let with_pool n f =
   let p = Pool.create ~domains:n () in
   Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
 
-let check_work_equal msg (a : Work.t) (b : Work.t) =
-  List.iter2
-    (fun (name, av) (_, bv) -> check ci (msg ^ ": " ^ name) av bv)
-    (Work.fields a) (Work.fields b)
-
 (* ---------- accumulator mechanics ---------- *)
 
 let test_scoped_isolation () =
@@ -96,11 +91,12 @@ let test_json_roundtrip () =
   w.Work.tuples_emitted <- 3;
   w.Work.items_skipped <- 99;
   w.Work.page_touches <- 2;
+  w.Work.sort_cost <- 12.5;
   let json_str = Json.to_string (Work.to_json w) in
   match Result.bind (Json.of_string json_str) Work.of_json with
   | Error msg -> Alcotest.failf "work json roundtrip: %s" msg
   | Ok w' ->
-      check_work_equal "roundtrip" w w';
+      Helpers.check_work "roundtrip" w w';
       check ci "score excludes skips" (17 + 3 + 2) (Work.score w')
 
 (* ---------- kernel invariance ---------- *)
@@ -109,35 +105,21 @@ let doc_and_index () =
   let doc = Sjos_datagen.Dblp.generate ~seed:42 ~target_nodes:900 () in
   (doc, Element_index.build doc)
 
+let scans ~idx ~atag ~dtag =
+  ( Operators.index_scan ~width:2 ~slot:0 (Element_index.lookup idx atag),
+    Operators.index_scan ~width:2 ~slot:1 (Element_index.lookup idx dtag) )
+
 let columnar_join ?pool ~doc ~idx ~atag ~dtag ~algo () =
-  let metrics = Metrics.create () in
-  let anc =
-    Operators.index_scan ~metrics ~width:2 ~slot:0
-      (Element_index.lookup idx atag)
-  in
-  let desc =
-    Operators.index_scan ~metrics ~width:2 ~slot:1
-      (Element_index.lookup idx dtag)
-  in
+  let anc, desc = scans ~idx ~atag ~dtag in
   Work.scoped (fun () ->
-      Stack_tree.join ?pool ~par_min_rows:0 ~metrics ~doc
-        ~axis:Axes.Descendant ~algo ~anc:(anc, 0) ~desc:(desc, 1)
-        ())
+      Stack_tree.join ?pool ~par_min_rows:0 ~doc ~axis:Axes.Descendant ~algo
+        ~anc:(anc, 0) ~desc:(desc, 1) ())
 
 let legacy_join ~doc ~idx ~atag ~dtag ~algo () =
-  let metrics = Metrics.create () in
-  let anc =
-    Operators.index_scan ~metrics ~width:2 ~slot:0
-      (Element_index.lookup idx atag)
-  in
-  let desc =
-    Operators.index_scan ~metrics ~width:2 ~slot:1
-      (Element_index.lookup idx dtag)
-  in
+  let anc, desc = scans ~idx ~atag ~dtag in
   Work.scoped (fun () ->
-      Stack_tree_legacy.join ~metrics ~doc
-        ~axis:Axes.Descendant ~algo ~anc:(anc, 0) ~desc:(desc, 1)
-        ())
+      Stack_tree_legacy.join ~doc ~axis:Axes.Descendant ~algo ~anc:(anc, 0)
+        ~desc:(desc, 1) ())
 
 let algos = [ Plan.Stack_tree_desc; Plan.Stack_tree_anc ]
 
@@ -159,7 +141,7 @@ let test_work_identical_across_domains () =
                  ~algo ()
              in
              (match r with Ok _ -> () | Error e -> raise e);
-             check_work_equal
+             Helpers.check_work
                (Printf.sprintf "pool of %d vs serial" domains)
                serial_work work))
     algos
@@ -197,7 +179,31 @@ let test_repeat_run_determinism () =
     (match r with Ok _ -> () | Error e -> raise e);
     w
   in
-  check_work_equal "two consecutive runs" (run ()) (run ())
+  Helpers.check_work "two consecutive runs" (run ()) (run ())
+
+(* A run that exhausts its budget still charges the work it did before
+   the abort: the operators charge the domain's accumulator as they run,
+   not in a copy made when the run returns. *)
+let test_exhausted_run_keeps_partial_work () =
+  let doc = Sjos_datagen.Pers.generate ~seed:1 ~target_nodes:5000 () in
+  let db = Sjos_engine.Database.of_document doc in
+  let opts = Sjos_engine.Query_opts.make ~max_tuples:2000 () in
+  let pat = Sjos_pattern.Parse.pattern "manager(//employee(/name))" in
+  let work, outcome =
+    Work.scoped (fun () -> Sjos_engine.Database.run ~opts db pat)
+  in
+  let module Budget = Sjos_guard.Budget in
+  (match outcome with
+  | Error
+      (Budget.Exhausted
+        { resource = Budget.Tuples_materialized { limit; count }; _ }) ->
+      check ci "limit" 2000 limit;
+      check cb "count past the limit" true (count > limit)
+  | Ok _ -> Alcotest.fail "expected the tuple ceiling to abort the run"
+  | Error e -> raise e);
+  check cb "comparisons charged" true (work.Work.comparisons > 0);
+  check cb "candidates_scanned charged" true (work.Work.candidates_scanned > 0);
+  check cb "tuples_emitted charged" true (work.Work.tuples_emitted > 0)
 
 let test_pager_page_touches () =
   let before = (Work.snapshot ()).Work.page_touches in
@@ -362,7 +368,8 @@ let test_datapoint_json_roundtrip () =
         (fun (a : Perf_history.entry) (b : Perf_history.entry) ->
           check Alcotest.string "id" a.Perf_history.entry_id
             b.Perf_history.entry_id;
-          check_work_equal "entry work" a.Perf_history.work b.Perf_history.work)
+          Helpers.check_work "entry work" a.Perf_history.work
+            b.Perf_history.work)
         d.Perf_history.entries d'.Perf_history.entries
 
 let suite =
@@ -378,6 +385,8 @@ let suite =
       test_work_identical_across_engines;
     Alcotest.test_case "repeat runs bit-identical" `Quick
       test_repeat_run_determinism;
+    Alcotest.test_case "exhausted run keeps its partial work" `Quick
+      test_exhausted_run_keeps_partial_work;
     Alcotest.test_case "pager charges page_touches" `Quick
       test_pager_page_touches;
     Alcotest.test_case "chrome trace export round-trips" `Quick
