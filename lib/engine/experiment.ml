@@ -210,6 +210,16 @@ let table2 ?size ?(query = Workload.q_pers_3_d) () =
       })
     algos
 
+let table2_pinned =
+  [
+    ("DP", 520);
+    ("DPP'", 226);
+    ("DPP", 163);
+    ("DPAP-EB", 69);
+    ("DPAP-LD", 42);
+    ("FP", 18);
+  ]
+
 let print_table2 rows =
   Printf.printf "%-12s" "";
   List.iter (fun r -> Printf.printf "| %9s " r.algo_name) rows;

@@ -74,6 +74,12 @@ val table1_to_json : table1_row list -> Sjos_obs.Json.t
 type table2_row = { algo_name : string; opt_seconds : float; considered : int }
 
 val table2 : ?size:int -> ?query:Workload.query -> unit -> table2_row list
+
+val table2_pinned : (string * int) list
+(** Plans considered per algorithm for {!table2} at its defaults
+    (Q.Pers.3.d on Pers 5,000): 520/226/163/69/42/18.  The counts are
+    deterministic; the benches gate on an exact match. *)
+
 val print_table2 : table2_row list -> unit
 
 (** {1 Table 3} — effect of data size (folding factors) *)

@@ -17,7 +17,7 @@ val default_size : dataset -> int
 
 val paper_size : dataset -> int
 (** The paper's §4.1 document sizes: Mbench 740k, DBLP 500k, Pers 5k
-    elements.  [bench/bench_io] runs the Disk backend at this scale when
+    elements.  [bench/io.ml] runs the Disk backend at this scale when
     asked ([SJOS_IO_PAPER=1]). *)
 
 val stress_size : dataset -> int

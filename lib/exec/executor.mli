@@ -11,7 +11,7 @@ type kernel = [ `Columnar | `Legacy ]
     permutation sorts and the skip-ahead Stack-Tree kernels.  [`Legacy]
     runs the original tuple-array operators ({!Stack_tree_legacy},
     {!Operators.sort_legacy}) — kept as the measured baseline for
-    [bench/bench_perf] and the differential tests.  Both engines produce
+    [bench/perf.ml] and the differential tests.  Both engines produce
     identical tuples, profiles and counters (modulo
     {!Sjos_obs.Work.t.items_skipped}). *)
 

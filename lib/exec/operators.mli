@@ -49,5 +49,5 @@ val sort_legacy :
   Tuple.t array
 (** The pre-batch-engine sort: [Array.stable_sort] with a comparator that
     dereferences [Document.node] per comparison.  Kept as the measured
-    baseline for [bench/bench_perf] and the legacy executor kernel; same
+    baseline for [bench/perf.ml] and the legacy executor kernel; same
     accounting as {!sort}. *)

@@ -4,7 +4,7 @@
     {!Stack_tree} reimplements both variants over flat columns with
     skip-ahead; this module preserves the group-list implementation so
     that differential tests ([test/test_batch.ml]) and the
-    [bench/bench_perf] old-vs-new benchmark can assert, on randomized
+    [bench/perf.ml] old-vs-new benchmark can assert, on randomized
     inputs, that the two engines produce identical tuple arrays (same
     tuples, same order) and identical join/IO accounting.  Apart from
     {!Sjos_obs.Work.t.items_skipped} (always [0] here), every counter

@@ -86,6 +86,39 @@ done
 expect_exit 3 "selftest-error rejects unknown class" \
   run_sjos selftest-error no_such_class
 
+# ---- perf-history gate ----------------------------------------------
+# `sjos perf-gate` must be able to fail: two hand-made datapoints with
+# equal work pass, and a third that doubles comparisons must not.
+GATE_DIR="${TMPDIR:-/tmp}/sjos_smoke_gate_$$"
+mkdir -p "$GATE_DIR"
+datapoint() { # datapoint TIMESTAMP COMPARISONS
+  cat >"$GATE_DIR/demo-$1.json" <<EOF
+{"schema": 1, "bench": "demo", "timestamp": $1, "meta": {},
+ "entries": [{"id": "q", "allocated_bytes": 1000, "seconds": 0,
+   "work": {"comparisons": $2, "tuples_emitted": 10, "items_skipped": 0,
+            "candidates_scanned": 10, "stack_ops": 10, "io_items": 0,
+            "sorted_items": 0, "expansions": 0, "plans_considered": 0,
+            "page_touches": 0}}]}
+EOF
+}
+gate_case() { # gate_case pass|fail LABEL
+  run_sjos perf-gate demo --dir "$GATE_DIR" >/dev/null 2>&1
+  got=$?
+  if { [ "$1" = pass ] && [ "$got" -eq 0 ]; } ||
+    { [ "$1" = fail ] && [ "$got" -ne 0 ]; }; then
+    say "ok   $2 (exit $got)"
+  else
+    say "FAIL $2: exit $got"
+    fails=$((fails + 1))
+  fi
+}
+datapoint 1 100
+datapoint 2 100
+gate_case pass "perf-gate passes an equal pair"
+datapoint 3 200
+gate_case fail "perf-gate catches a 2x comparisons regression"
+rm -rf "$GATE_DIR"
+
 # ---- disk storage failure paths -------------------------------------
 # A server with --storage disk opens its column file lazily, on the
 # first page fault.  Damaging the file between startup and the first

@@ -127,6 +127,15 @@ let test_experiment_table2 () =
     (fun r -> check cb "positive counts" true (r.Experiment.considered > 0))
     rows
 
+(* The paper's Table 2 counts at the default Pers 5,000, exactly — the
+   constant every bench suite gates on. *)
+let test_experiment_table2_pinned () =
+  let rows = Experiment.table2 () in
+  check
+    Alcotest.(list (pair string int))
+    "520/226/163/69/42/18" Experiment.table2_pinned
+    (List.map (fun r -> (r.Experiment.algo_name, r.Experiment.considered)) rows)
+
 let test_experiment_table3_scaling () =
   let rows =
     Experiment.table3 ~base_size:400 ~folds:[ 1; 3 ] ~max_tuples:5_000_000 ()
@@ -206,6 +215,7 @@ let suite =
     ("experiment cells", `Quick, test_experiment_cells);
     ("experiment bad-plan limit", `Quick, test_experiment_bad_plan_limit);
     ("experiment table2", `Quick, test_experiment_table2);
+    ("experiment table2 pinned counts", `Quick, test_experiment_table2_pinned);
     ("experiment table3 scaling", `Slow, test_experiment_table3_scaling);
     ("experiment figure te", `Slow, test_experiment_figure_te);
     ("order-by end to end", `Quick, test_order_by_end_to_end);
