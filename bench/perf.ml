@@ -172,6 +172,77 @@ let row_to_json r =
       ("repeat_deterministic", Sjos_obs.Json.Bool r.repeat_deterministic);
     ]
 
+(* The statistics catalog: on a fresh (warmed) database, the provider
+   plus a full-mask estimate of the headline Mbench pattern builds each
+   histogram once, straight from the candidate columns, so its
+   allocation is a few histograms' worth, not a per-row cost; a repeat
+   on the same database builds no entry.  Counts and bytes, never
+   seconds.  The document is at least Mbench's default size: below it,
+   the fixed cost (one grid per level slice) is a visible share of the
+   per-row bound. *)
+type catalog_probe = {
+  candidate_rows : int;  (** summed candidate-set sizes of the pattern *)
+  estimate_bytes : float;  (** allocated by provider + full-mask estimate *)
+  first_builds : int;
+  repeat_builds : int;  (** entry and slice builds on the repeat *)
+}
+
+let catalog_bytes_per_row = 4.0
+
+let probe_catalog () =
+  let doc =
+    Harness.doc
+      ~size:
+        (Harness.scaled (Float.max 1.0 scale)
+           (Workload.default_size Workload.Mbench))
+      Workload.Mbench
+  in
+  let db = Database.of_document doc in
+  Database.warm db;
+  let pattern = Sjos_pattern.Parse.pattern "eNest(//eNest(/eOccasional))" in
+  let full = (1 lsl Sjos_pattern.Pattern.node_count pattern) - 1 in
+  let builds () =
+    let s = Sjos_histogram.Catalog.stats (Database.catalog db) in
+    s.Sjos_histogram.Catalog.builds + s.Sjos_histogram.Catalog.slice_builds
+  in
+  let estimate () =
+    let p = Database.provider db pattern in
+    ignore (p.Sjos_plan.Costing.cluster_card full);
+    p
+  in
+  (* start from an empty minor heap: a minor collection inside the
+     measured span can be booked as a whole heap's worth of allocation *)
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let p = estimate () in
+  let estimate_bytes = Gc.allocated_bytes () -. before in
+  let first_builds = builds () in
+  ignore (estimate ());
+  let candidate_rows =
+    List.fold_left
+      (fun acc i -> acc + int_of_float (p.Sjos_plan.Costing.node_card i))
+      0
+      (List.init (Sjos_pattern.Pattern.node_count pattern) Fun.id)
+  in
+  {
+    candidate_rows;
+    estimate_bytes;
+    first_builds;
+    repeat_builds = builds () - first_builds;
+  }
+
+let catalog_to_json c =
+  Sjos_obs.Json.Obj
+    [
+      ("candidate_rows", Sjos_obs.Json.Int c.candidate_rows);
+      ("estimate_allocated_bytes", Sjos_obs.Json.Float c.estimate_bytes);
+      ( "bytes_per_row",
+        Sjos_obs.Json.Float (c.estimate_bytes /. float_of_int c.candidate_rows)
+      );
+      ("first_builds", Sjos_obs.Json.Int c.first_builds);
+      ("repeat_builds", Sjos_obs.Json.Int c.repeat_builds);
+    ]
+
 let run () =
   Printf.printf "batch execution engine: old vs new (scale %.2f, best of %d)\n"
     scale reps;
@@ -206,12 +277,23 @@ let run () =
         ])
       rows
   in
+  let catalog = probe_catalog () in
+  Printf.printf
+    "statistics catalog: %d candidate rows, %.0f B allocated (%.2f B/row), \
+     %d builds, %d on repeat\n"
+    catalog.candidate_rows catalog.estimate_bytes
+    (catalog.estimate_bytes /. float_of_int catalog.candidate_rows)
+    catalog.first_builds catalog.repeat_builds;
   let meta =
     [ ("scale", Sjos_obs.Json.Float scale); ("reps", Sjos_obs.Json.Int reps) ]
   in
   Harness.report ~file:"BENCH_PERF.json"
     ~fields:
-      (meta @ [ ("patterns", Sjos_obs.Json.List (List.map row_to_json rows)) ])
+      (meta
+      @ [
+          ("patterns", Sjos_obs.Json.List (List.map row_to_json rows));
+          ("catalog", catalog_to_json catalog);
+        ])
     ~history:(meta, entries)
     [
       ("identical_outputs", List.for_all (fun r -> r.identical) rows);
@@ -230,6 +312,15 @@ let run () =
             (r.dataset = "Mbench" || r.dataset = "DBLP")
             && alloc_ratio r >= 2.0)
           rows );
+      (* statistics are built once, from columns: allocation per
+         candidate row stays under a small constant, a repeat builds
+         nothing *)
+      ( "catalog_alloc_per_row",
+        catalog.candidate_rows > 0
+        && catalog.estimate_bytes
+           <= catalog_bytes_per_row *. float_of_int catalog.candidate_rows );
+      ( "catalog_repeat_builds_nothing",
+        catalog.first_builds > 0 && catalog.repeat_builds = 0 );
       ( "nonempty_work",
         rows <> []
         && List.for_all

@@ -21,6 +21,7 @@ type t = {
   mutable factors : Cost_model.factors;
   mutable grid : int;
   plan_cache : Plan_cache.t;
+  catalog : Catalog.t;
   store : Column_store.t;
   (* Per-query [Query_opts.storage] overrides resolve through a small
      config-keyed memo, so repeated overridden queries share one store
@@ -55,6 +56,7 @@ let of_document ?(factors = Cost_model.default) ?(grid = 32)
     factors;
     grid;
     plan_cache = Plan_cache.create ~capacity:cache_capacity ();
+    catalog = Catalog.create ~capacity:cache_capacity index;
     store = Column_store.create ~config:storage index;
     stores_m = Mutex.create ();
     extra_stores = [];
@@ -122,6 +124,7 @@ let warm t =
 let factors t = t.factors
 let grid t = t.grid
 let plan_cache t = t.plan_cache
+let catalog t = t.catalog
 let invalidate_plans t = Plan_cache.bump_epoch t.plan_cache
 
 let set_factors t factors =
@@ -133,15 +136,17 @@ let set_grid t grid =
   t.grid <- grid;
   invalidate_plans t
 
-let provider_with t ~grid pat =
+let cardinality t ~grid pat =
   validate_grid grid;
-  let cards = Cardinality.create ~grid t.index pat in
+  Cardinality.create ~grid t.catalog pat
+
+let provider_of cards =
   {
     Costing.node_card = Cardinality.node_card cards;
     cluster_card = Cardinality.cluster_card cards;
   }
 
-let provider t pat = provider_with t ~grid:t.grid pat
+let provider t pat = provider_of (cardinality t ~grid:t.grid pat)
 
 let eff_factors t (opts : Query_opts.t) =
   Option.value opts.Query_opts.factors ~default:t.factors
@@ -186,9 +191,11 @@ let cache_key t (opts : Query_opts.t) ~pat ~fingerprint =
    fails to deserialize or no longer evaluates the pattern is treated as
    corruption: counted, overwritten by a fresh optimization, never served. *)
 let resolve t ~(opts : Query_opts.t) ~pat ~canon ~from_canon ~to_canon ~key
-    ~provider =
+    ~cards ~provider =
   let t0 = Clock.now_ns () in
   let fresh ~store () =
+    (* statistics first, so the search span times only the search *)
+    Cardinality.prefetch cards;
     match
       Optimizer.optimize_e ~factors:(eff_factors t opts)
         ~budget:opts.Query_opts.budget ~provider
@@ -268,8 +275,9 @@ type prepared = {
    (seed, query) alone — not of how many queries ran before it, nor of
    the domain scheduling of a parallel workload. *)
 let chaos_provider t ~(opts : Query_opts.t) ~chaos pat =
-  let p = provider_with t ~grid:(eff_grid t opts) pat in
-  match chaos with Some c -> Chaos.wrap_provider c p | None -> p
+  let cards = cardinality t ~grid:(eff_grid t opts) pat in
+  let p = provider_of cards in
+  (cards, match chaos with Some c -> Chaos.wrap_provider c p | None -> p)
 
 let chaos_fetch t chaos =
   match chaos with
@@ -290,9 +298,9 @@ let prepare ?(opts = Query_opts.default) t pat =
       opts.Query_opts.chaos
   in
   let key = cache_key t opts ~pat ~fingerprint in
-  let provider = chaos_provider t ~opts ~chaos pat in
+  let cards, provider = chaos_provider t ~opts ~chaos pat in
   let result, cached =
-    resolve t ~opts ~pat ~canon ~from_canon ~to_canon ~key ~provider
+    resolve t ~opts ~pat ~canon ~from_canon ~to_canon ~key ~cards ~provider
   in
   {
     pdb = t;
@@ -317,11 +325,14 @@ let refresh p =
   let t = p.pdb in
   let epoch = Plan_cache.epoch t.plan_cache in
   if epoch <> p.pepoch then begin
-    p.pprovider <- chaos_provider t ~opts:p.popts ~chaos:p.pchaos p.ppattern;
+    let cards, provider =
+      chaos_provider t ~opts:p.popts ~chaos:p.pchaos p.ppattern
+    in
+    p.pprovider <- provider;
     let result, cached =
       resolve t ~opts:p.popts ~pat:p.ppattern ~canon:p.pcanon
-        ~from_canon:p.pfrom_canon ~to_canon:p.pto_canon ~key:p.pkey
-        ~provider:p.pprovider
+        ~from_canon:p.pfrom_canon ~to_canon:p.pto_canon ~key:p.pkey ~cards
+        ~provider
     in
     p.presult <- result;
     p.pcached <- cached;

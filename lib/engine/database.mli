@@ -38,7 +38,8 @@ val of_document :
   t
 (** Index a document and prepare it for querying.  [grid] is the
     positional-histogram resolution (default 32); [cache_capacity] bounds
-    the plan cache (default 256 entries).
+    the plan cache and the statistics catalog (default 256 entries
+    each).
 
     [storage] selects the column storage backend queries read candidate
     streams through, defaulting to
@@ -104,9 +105,15 @@ val invalidate_plans : t -> unit
 val plan_cache : t -> Sjos_cache.Plan_cache.t
 (** The database's plan cache, for stats inspection. *)
 
+val catalog : t -> Sjos_histogram.Catalog.t
+(** The database's statistics catalog: positional histograms per
+    (candidate spec, grid), built on first use and shared by every query
+    (inspect {!Sjos_histogram.Catalog.stats}). *)
+
 val provider : t -> Pattern.t -> Sjos_plan.Costing.provider
-(** Histogram-backed cardinality provider for a pattern (memoized per
-    pattern structure for the lifetime of the call result). *)
+(** Histogram-backed cardinality provider for a pattern, reading the
+    {!catalog} at the database's grid.  Creating it touches no candidate
+    set; estimates are memoized for the lifetime of the call result. *)
 
 (** {1 Prepared queries} *)
 

@@ -1,52 +1,49 @@
-open Sjos_xml
-open Sjos_storage
 open Sjos_pattern
 
 type t = {
   pat : Pattern.t;
   grid : int;
-  max_pos : int;
-  index : Element_index.t;
-  hists : Position_histogram.t option array;  (* per pattern node, lazy *)
-  cards : float array;
+  catalog : Catalog.t;
+  entries : Catalog.entry option array;  (* per pattern node, on first use *)
   sel_memo : (int * int, float) Hashtbl.t;  (* (anc, desc) -> selectivity *)
   cluster_memo : (int, float) Hashtbl.t;
 }
 
-let create ?(grid = 32) index pat =
-  let doc = Element_index.document index in
-  let n = Pattern.node_count pat in
-  let cards = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    cards.(i) <-
-      float_of_int (Array.length (Candidate.select index (Pattern.label pat i)))
-  done;
+let create ?(grid = 32) catalog pat =
   {
     pat;
     grid;
-    max_pos = Document.max_pos doc;
-    index;
-    hists = Array.make n None;
-    cards;
+    catalog;
+    entries = Array.make (Pattern.node_count pat) None;
     sel_memo = Hashtbl.create 16;
     cluster_memo = Hashtbl.create 64;
   }
 
 let pattern t = t.pat
 
-let candidates t i = Candidate.select t.index (Pattern.label t.pat i)
-
-let hist t i =
-  match t.hists.(i) with
-  | Some h -> h
+let entry t i =
+  match t.entries.(i) with
+  | Some e -> e
   | None ->
-      let h =
-        Position_histogram.build ~grid:t.grid ~max_pos:t.max_pos (candidates t i)
-      in
-      t.hists.(i) <- Some h;
-      h
+      let e = Catalog.find t.catalog ~grid:t.grid (Pattern.label t.pat i) in
+      t.entries.(i) <- Some e;
+      e
 
-let node_card t i = t.cards.(i)
+let hist t i = Catalog.histogram (entry t i)
+let slices t i = Catalog.slices t.catalog (entry t i)
+let node_card t i = Catalog.cardinality (entry t i)
+
+let prefetch t =
+  for i = 0 to Pattern.node_count t.pat - 1 do
+    ignore (entry t i)
+  done;
+  List.iter
+    (fun (e : Pattern.edge) ->
+      if e.Pattern.axis = Sjos_xml.Axes.Child then begin
+        ignore (slices t e.Pattern.anc);
+        ignore (slices t e.Pattern.desc)
+      end)
+    (Pattern.edges t.pat)
 
 let edge_selectivity t (e : Pattern.edge) =
   match Hashtbl.find_opt t.sel_memo (e.Pattern.anc, e.Pattern.desc) with
@@ -61,9 +58,8 @@ let edge_selectivity t (e : Pattern.edge) =
             (* level-sliced histograms capture the parent-child correlation
                the global level factor misses *)
             let pairs =
-              Estimator.parent_child_by_level ~grid:t.grid ~max_pos:t.max_pos
-                ~anc:(candidates t e.Pattern.anc)
-                ~desc:(candidates t e.Pattern.desc)
+              Estimator.parent_child_by_level ~anc:(slices t e.Pattern.anc)
+                ~desc:(slices t e.Pattern.desc)
             in
             let ca = node_card t e.Pattern.anc
             and cd = node_card t e.Pattern.desc in

@@ -11,16 +11,25 @@
     which assumes edge independence — the standard System-R style
     assumption, here with structural selectivities. *)
 
-open Sjos_storage
 open Sjos_pattern
 
 type t
 
-val create : ?grid:int -> Element_index.t -> Pattern.t -> t
-(** Build positional histograms for every pattern node's candidate set
-    (lazily) and a memo table for cluster estimates. *)
+val create : ?grid:int -> Catalog.t -> Pattern.t -> t
+(** A cluster estimator reading its statistics from the catalog at
+    resolution [grid] (default 32).  Creating one touches no candidate
+    set: each pattern node's catalog entry is looked up on first use, and
+    cluster estimates are memoized.  Not for concurrent use; the catalog
+    underneath is. *)
 
 val pattern : t -> Pattern.t
+
+val prefetch : t -> unit
+(** Fetch (building if absent) every catalog statistic an estimate of the
+    whole pattern reads: each node's entry and both ends' level slices of
+    each parent-child edge.  Called ahead of an optimizer search, so the
+    search itself never builds a histogram. *)
+
 val node_card : t -> int -> float
 (** Candidate-set cardinality of a pattern node. *)
 

@@ -28,7 +28,8 @@ let ancestor_descendant ~anc ~desc =
            uniformly placed narrower interval with probability (w/S)^2. *)
         let diagonal =
           Position_histogram.cell desc i j
-          *. Position_histogram.containment_mass anc i j /. Float.max ca 1.0
+          *. Position_histogram.containment_mass anc i j
+          /. if ca > 1.0 then ca else 1.0
         in
         total := !total +. (ca *. (inner +. shared_start +. shared_end +. diagonal))
       end
@@ -61,29 +62,19 @@ let level_factor ~anc ~desc =
 let parent_child ~anc ~desc =
   ancestor_descendant ~anc ~desc *. level_factor ~anc ~desc
 
-let by_level nodes =
-  let table : (int, Sjos_xml.Node.t list ref) Hashtbl.t = Hashtbl.create 16 in
-  Array.iter
-    (fun (n : Sjos_xml.Node.t) ->
-      match Hashtbl.find_opt table n.Sjos_xml.Node.level with
-      | Some l -> l := n :: !l
-      | None -> Hashtbl.add table n.Sjos_xml.Node.level (ref [ n ]))
-    nodes;
-  table
-
-let parent_child_by_level ~grid ~max_pos ~anc ~desc =
-  let anc_levels = by_level anc and desc_levels = by_level desc in
-  Hashtbl.fold
-    (fun level anc_slice acc ->
-      match Hashtbl.find_opt desc_levels (level + 1) with
-      | None -> acc
-      | Some desc_slice ->
-          let h nodes =
-            Position_histogram.build ~grid ~max_pos
-              (Array.of_list (List.rev !nodes))
-          in
-          acc +. ancestor_descendant ~anc:(h anc_slice) ~desc:(h desc_slice))
-    anc_levels 0.0
+(* Summed in the ancestor's slice visit order
+   ({!Position_histogram.slice_order}): the estimate is bit-stable only
+   under that order. *)
+let parent_child_by_level ~anc ~desc =
+  Array.fold_left
+    (fun acc level ->
+      match
+        (Position_histogram.slice anc level, Position_histogram.slice desc (level + 1))
+      with
+      | Some a, Some d -> acc +. ancestor_descendant ~anc:a ~desc:d
+      | _ -> acc)
+    0.0
+    (Position_histogram.slice_order anc)
 
 let pairs axis ~anc ~desc =
   match axis with

@@ -24,21 +24,16 @@ val parent_child :
   anc:Position_histogram.t -> desc:Position_histogram.t -> float
 (** Ancestor-descendant estimate scaled by the level-compatibility factor
     [P(level_d = level_a + 1 | containment-compatible levels)].  A coarse
-    global correction — prefer {!parent_child_by_level} when the raw
-    candidate sets are available. *)
+    global correction — prefer {!parent_child_by_level} when the level
+    slices are available. *)
 
 val parent_child_by_level :
-  grid:int ->
-  max_pos:int ->
-  anc:Sjos_xml.Node.t array ->
-  desc:Sjos_xml.Node.t array ->
-  float
-(** The level-sliced positional estimate: partition both candidate sets by
-    level and sum the ancestor-descendant estimates of the compatible
-    slices [(anc at level l, desc at level l+1)].  Unlike the global
-    factor, this captures the (common) correlation where descendants sit
-    exactly one level below their ancestors, e.g. every employee having
-    its own name child. *)
+  anc:Position_histogram.slices -> desc:Position_histogram.slices -> float
+(** The level-sliced positional estimate: sum the ancestor-descendant
+    estimates of the compatible slices [(anc at level l, desc at level
+    l+1)].  Unlike the global factor, this captures the (common)
+    correlation where descendants sit exactly one level below their
+    ancestors, e.g. every employee having its own name child. *)
 
 val pairs :
   Sjos_xml.Axes.axis ->

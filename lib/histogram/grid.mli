@@ -15,8 +15,9 @@ val get : t -> int -> int -> float
 val total : t -> float
 
 val seal : t -> unit
-(** Build the prefix-sum table.  Must be called after the last {!add};
-    calling {!add} afterwards raises [Invalid_argument]. *)
+(** Turn the counts into prefix sums, in place.  Must be called after
+    the last {!add}; calling {!add} afterwards raises [Invalid_argument].
+    Idempotent. *)
 
 val range_sum : t -> i0:int -> i1:int -> j0:int -> j1:int -> float
 (** Inclusive rectangle sum; empty when [i0 > i1] or [j0 > j1]; indexes are

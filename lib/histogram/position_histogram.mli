@@ -5,15 +5,34 @@
     position space: a node with interval [(start, end)] falls in cell
     [(bucket start, bucket end)].  Because [start < end], only the upper
     triangle is populated.  Join-size estimates reduce to rectangle sums
-    over the grid (see {!Estimator}). *)
+    over the grid (see {!Estimator}).
 
-open Sjos_xml
+    Histograms are built from a candidate set's flat columns
+    ({!Sjos_storage.Candidate.select_cols}) in one pass over its rows. *)
 
 type t
 
-val build : ?grid:int -> max_pos:int -> Node.t array -> t
+val build : ?grid:int -> max_pos:int -> Sjos_storage.Cols.t -> t
 (** Summarize a candidate set.  [grid] defaults to 32.  [max_pos] is the
-    extent of the document's position space ({!Document.max_pos}). *)
+    extent of the document's position space
+    ({!Sjos_xml.Document.max_pos}). *)
+
+type slices
+(** A candidate set partitioned by level, one histogram per level that
+    occurs: the input of the level-sliced parent-child estimate
+    ({!Estimator.parent_child_by_level}). *)
+
+val build_slices : ?grid:int -> max_pos:int -> Sjos_storage.Cols.t -> slices
+(** All level slices of a candidate set in one pass.  Each slice equals
+    {!build} of the rows at that level. *)
+
+val slice : slices -> int -> t option
+(** The histogram of the rows at a level, if any row has it. *)
+
+val slice_order : slices -> int array
+(** The levels present, in the order estimates sum over them.  The order
+    is fixed (it keeps estimates bit-identical across releases), not
+    ascending. *)
 
 val grid_size : t -> int
 val cardinality : t -> float

@@ -61,14 +61,16 @@ let select index spec =
   else filter_nodes (matches residual) base
 
 let select_cols index spec =
-  let base, residual = base_and_residual index spec in
-  if residual.attr = None && residual.text = None then
-    match spec.tag with
-    | Some tag when spec.attr = None ->
-        (* the common case hits the per-tag column cache *)
-        Element_index.cols index tag
-    | _ -> Cols.of_nodes base
-  else Cols.of_nodes (filter_nodes (matches residual) base)
+  match spec with
+  | { tag = Some tag; attr = None; text = None } ->
+      (* the common case hits the per-tag column cache *)
+      Element_index.cols index tag
+  | { tag = None; attr = None; text = None } ->
+      Document.positions (Element_index.document index)
+  | _ ->
+      let base, residual = base_and_residual index spec in
+      if residual.attr = None && residual.text = None then Cols.of_nodes base
+      else Cols.of_nodes (filter_nodes (matches residual) base)
 
 let is_pure_tag spec =
   match spec with

@@ -29,8 +29,9 @@ val select : Element_index.t -> spec -> Node.t array
 
 val select_cols : Element_index.t -> spec -> Cols.t
 (** Flat-column counterpart of {!select} for the batch execution engine.
-    Plain tag lookups reuse the per-tag column cache; residual predicates
-    filter then extract fresh columns. *)
+    Plain tag lookups reuse the per-tag column cache and the bare
+    wildcard the document's own columns; residual predicates filter then
+    extract fresh columns. *)
 
 val is_pure_tag : spec -> bool
 (** [true] when the spec is a plain tag test with no attribute or text

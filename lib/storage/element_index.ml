@@ -68,26 +68,68 @@ let cols t tag =
   Mutex.unlock t.lazy_m;
   c
 
+(* The secondary index of one (tag, attr) pair, count-then-fill like
+   [build]: the first pass hashes each node's value once, counting per
+   value and noting the value's slot, the second fills exact-size arrays
+   in document order.  Slots are noted in one byte per node, not an int:
+   this side array is alive at a cold run's heap peak.  Only the first
+   [coded] distinct values get a byte; a node with a later value is
+   hashed again in the second pass. *)
+type value_slot = { slot : int; mutable count : int; mutable out : Node.t array }
+
+let coded = 254
+let no_value = 255
+
+let build_attr_table nodes attr =
+  let slots : (string, value_slot) Hashtbl.t = Hashtbl.create 16 in
+  let by_code = Array.make coded { slot = 0; count = 0; out = [||] } in
+  let code = Bytes.make (Array.length nodes) (Char.chr no_value) in
+  Array.iteri
+    (fun i n ->
+      match Node.attr n attr with
+      | None -> ()
+      | Some v ->
+          let s =
+            match Hashtbl.find slots v with
+            | s -> s
+            | exception Not_found ->
+                let s = { slot = Hashtbl.length slots; count = 0; out = [||] } in
+                Hashtbl.add slots v s;
+                if s.slot < coded then by_code.(s.slot) <- s;
+                s
+          in
+          s.count <- s.count + 1;
+          Bytes.unsafe_set code i
+            (Char.unsafe_chr (if s.slot < coded then s.slot else coded)))
+    nodes;
+  let table = Hashtbl.create (Hashtbl.length slots) in
+  Hashtbl.iter
+    (fun v s ->
+      s.out <- Array.make s.count nodes.(0);
+      s.count <- 0;
+      Hashtbl.replace table v s.out)
+    slots;
+  Array.iteri
+    (fun i n ->
+      let c = Char.code (Bytes.unsafe_get code i) in
+      if c <> no_value then begin
+        let s =
+          if c < coded then by_code.(c)
+          else Hashtbl.find slots (Option.get (Node.attr n attr))
+        in
+        s.out.(s.count) <- n;
+        s.count <- s.count + 1
+      end)
+    nodes;
+  table
+
 let lookup_attr t ~tag ~attr ~value =
   Mutex.lock t.lazy_m;
   let table =
     match Hashtbl.find_opt t.by_attr (tag, attr) with
     | Some table -> table
     | None ->
-        let buckets : (string, Node.t list ref) Hashtbl.t = Hashtbl.create 16 in
-        Array.iter
-          (fun n ->
-            match Node.attr n attr with
-            | Some v -> (
-                match Hashtbl.find_opt buckets v with
-                | Some l -> l := n :: !l
-                | None -> Hashtbl.add buckets v (ref [ n ]))
-            | None -> ())
-          (lookup t tag);
-        let table = Hashtbl.create (Hashtbl.length buckets) in
-        Hashtbl.iter
-          (fun v l -> Hashtbl.replace table v (Array.of_list (List.rev !l)))
-          buckets;
+        let table = build_attr_table (lookup t tag) attr in
         Hashtbl.replace t.by_attr (tag, attr) table;
         table
   in

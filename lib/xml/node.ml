@@ -10,7 +10,12 @@ type t = {
 }
 
 let root_parent = -1
-let attr n name = List.assoc_opt name n.attrs
+let attr n name =
+  let rec find = function
+    | [] -> None
+    | (k, v) :: rest -> if String.equal k name then Some v else find rest
+  in
+  find n.attrs
 
 let has_attr_value n name v =
   match attr n name with Some v' -> String.equal v v' | None -> false

@@ -245,6 +245,30 @@ let test_attribute_index () =
   check ci "candidate select agrees" (Array.length via_index)
     (Array.length (Candidate.select idx spec))
 
+(* More distinct values than the index's one-byte slot codes: values
+   past the 254th take the re-hashing path and must agree too. *)
+let test_attribute_index_many_values () =
+  let b = Buffer.create 16384 in
+  Buffer.add_string b "<r>";
+  for i = 0 to 899 do
+    if i mod 7 = 0 then Buffer.add_string b "<e/>"
+    else Printf.bprintf b "<e k=\"v%d\"/>" (i mod 300)
+  done;
+  Buffer.add_string b "</r>";
+  let idx = Element_index.build (Sjos_xml.Parser.parse_string (Buffer.contents b)) in
+  let total = ref 0 in
+  for v = 0 to 299 do
+    let value = Printf.sprintf "v%d" v in
+    let via_index = Element_index.lookup_attr idx ~tag:"e" ~attr:"k" ~value in
+    let via_filter =
+      Array.to_list (Element_index.lookup idx "e")
+      |> List.filter (fun n -> Node.has_attr_value n "k" value)
+    in
+    total := !total + Array.length via_index;
+    check cb ("same nodes for " ^ value) true (Array.to_list via_index = via_filter)
+  done;
+  check ci "every attributed node indexed once" (900 - 129) !total
+
 (* ---------- Xquery ---------- *)
 
 let tiny_db = lazy (Database.of_string Helpers.tiny_pers_xml)
@@ -388,6 +412,7 @@ let suite =
     ("calibrate degenerate input", `Quick, test_calibrate_degenerate);
     ("calibrate on real runs", `Quick, test_calibrate_on_real_runs);
     ("attribute index", `Quick, test_attribute_index);
+    ("attribute index, many values", `Quick, test_attribute_index_many_values);
     ("xquery basic", `Quick, test_xquery_basic);
     ("xquery where", `Quick, test_xquery_where);
     ("xquery existence and copy", `Quick, test_xquery_existence_and_copy);

@@ -43,7 +43,7 @@ let test_grid_errors () =
 let test_position_histogram () =
   let doc = Lazy.force Helpers.tiny_pers in
   let idx = Lazy.force Helpers.tiny_index in
-  let names = Element_index.lookup idx "name" in
+  let names = Element_index.cols idx "name" in
   let h =
     Position_histogram.build ~grid:8 ~max_pos:(Document.max_pos doc) names
   in
@@ -72,8 +72,8 @@ let pair_fixture tag_a tag_b =
   let max_pos = Document.max_pos doc in
   let a = Element_index.lookup idx tag_a in
   let b = Element_index.lookup idx tag_b in
-  ( Position_histogram.build ~grid:32 ~max_pos a,
-    Position_histogram.build ~grid:32 ~max_pos b,
+  ( Position_histogram.build ~grid:32 ~max_pos (Cols.of_nodes a),
+    Position_histogram.build ~grid:32 ~max_pos (Cols.of_nodes b),
     a,
     b )
 
@@ -97,7 +97,7 @@ let test_estimate_pc_le_ad () =
 let test_estimate_empty_side () =
   let doc = Lazy.force Helpers.pers_1k in
   let max_pos = Document.max_pos doc in
-  let empty = Position_histogram.build ~grid:32 ~max_pos [||] in
+  let empty = Position_histogram.build ~grid:32 ~max_pos Cols.empty in
   let ha, _, _, _ = pair_fixture "manager" "employee" in
   Helpers.checkf "empty desc" 0.0 (Estimator.ancestor_descendant ~anc:ha ~desc:empty);
   Helpers.checkf "empty anc" 0.0 (Estimator.ancestor_descendant ~anc:empty ~desc:ha);
@@ -107,8 +107,8 @@ let test_estimate_empty_side () =
 let test_estimate_grid_mismatch () =
   let doc = Lazy.force Helpers.pers_1k in
   let max_pos = Document.max_pos doc in
-  let h1 = Position_histogram.build ~grid:8 ~max_pos [||] in
-  let h2 = Position_histogram.build ~grid:16 ~max_pos [||] in
+  let h1 = Position_histogram.build ~grid:8 ~max_pos Cols.empty in
+  let h2 = Position_histogram.build ~grid:16 ~max_pos Cols.empty in
   expect_invalid (fun () -> Estimator.ancestor_descendant ~anc:h1 ~desc:h2)
 
 let test_selectivity_bounds () =
@@ -121,10 +121,12 @@ let test_selectivity_bounds () =
 
 (* ---------- Cluster cardinality ---------- *)
 
+let catalog idx = Catalog.create ~capacity:64 idx
+
 let test_cardinality_nodes () =
   let idx = Lazy.force Helpers.tiny_index in
   let p = Helpers.pat "manager(//employee(/name))" in
-  let c = Cardinality.create ~grid:8 idx p in
+  let c = Cardinality.create ~grid:8 (catalog idx) p in
   Helpers.checkf "node 0 card" 3.0 (Cardinality.node_card c 0);
   Helpers.checkf "node 1 card" 3.0 (Cardinality.node_card c 1);
   Helpers.checkf "node 2 card" 8.0 (Cardinality.node_card c 2);
@@ -134,7 +136,7 @@ let test_cardinality_nodes () =
 let test_cardinality_cluster_vs_exact () =
   let idx = Lazy.force Helpers.pers_1k_index in
   let p = Helpers.pat "manager(//employee(/name))" in
-  let c = Cardinality.create ~grid:32 idx p in
+  let c = Cardinality.create ~grid:32 (catalog idx) p in
   let est = Cardinality.cluster_card c 0b111 in
   let exact = float_of_int (Sjos_exec.Naive.cluster_count idx p 0b111) in
   check cb
@@ -145,7 +147,7 @@ let test_cardinality_cluster_vs_exact () =
 let test_cardinality_validation () =
   let idx = Lazy.force Helpers.tiny_index in
   let p = Helpers.pat "manager(//employee(/name))" in
-  let c = Cardinality.create idx p in
+  let c = Cardinality.create (catalog idx) p in
   expect_invalid (fun () -> Cardinality.cluster_card c 0);
   (* nodes 0 and 2 are not adjacent: not a connected cluster *)
   expect_invalid (fun () -> Cardinality.cluster_card c 0b101);
@@ -157,7 +159,7 @@ let test_cardinality_validation () =
 let test_cardinality_edges () =
   let idx = Lazy.force Helpers.tiny_index in
   let p = Helpers.pat "manager(//employee)" in
-  let c = Cardinality.create ~grid:8 idx p in
+  let c = Cardinality.create ~grid:8 (catalog idx) p in
   match Pattern.edges p with
   | [ e ] ->
       let pairs = Cardinality.edge_pairs c e in
@@ -167,6 +169,217 @@ let test_cardinality_edges () =
       Helpers.checkf "pairs = sel * |A| * |B|" pairs (s *. 3.0 *. 3.0);
       Helpers.checkf "full mask" 3.0 (float_of_int (Cardinality.full_mask c))
   | _ -> Alcotest.fail "expected one edge"
+
+(* ---------- Golden estimate bits ---------- *)
+
+let headline = "eNest(//eNest(/eOccasional))"
+
+let golden_docs =
+  [
+    ("pers_1k", Helpers.pers_1k);
+    ("dblp_1k", Helpers.dblp_1k);
+    ("mbench_1k", Helpers.mbench_1k);
+    ("mbench_20k", lazy (Sjos_datagen.Mbench.generate ~seed:9 ~target_nodes:20000 ()));
+  ]
+
+let golden_pattern qid =
+  if String.equal qid headline then Parse.pattern headline
+  else (Sjos_engine.Workload.find qid).Sjos_engine.Workload.pattern
+
+(* Every estimate of a pattern, in the order of [Golden_estimates]. *)
+let estimate_bits c pat =
+  let n = Pattern.node_count pat in
+  let bits = ref [] in
+  let push f = bits := Int64.bits_of_float f :: !bits in
+  for i = 0 to n - 1 do
+    push (Cardinality.node_card c i)
+  done;
+  List.iter (fun e -> push (Cardinality.edge_selectivity c e)) (Pattern.edges pat);
+  for mask = 1 to (1 lsl n) - 1 do
+    if Cardinality.is_connected pat mask then push (Cardinality.cluster_card c mask)
+  done;
+  Array.of_list (List.rev !bits)
+
+let test_golden_estimates () =
+  List.iter
+    (fun (q : Sjos_engine.Workload.query) ->
+      check cb
+        (q.Sjos_engine.Workload.id ^ " has goldens")
+        true
+        (List.exists
+           (fun (_, qid, _, _) -> String.equal qid q.Sjos_engine.Workload.id)
+           Golden_estimates.table))
+    Sjos_engine.Workload.queries;
+  List.iter
+    (fun (dname, doc) ->
+      (* one catalog per document, shared by every query and grid *)
+      let cat = catalog (Element_index.build (Lazy.force doc)) in
+      List.iter
+        (fun (d, qid, grid, expected) ->
+          if String.equal d dname then
+            let pat = golden_pattern qid in
+            check
+              Alcotest.(array int64)
+              (Printf.sprintf "%s %s grid %d" dname qid grid)
+              expected
+              (estimate_bits (Cardinality.create ~grid cat pat) pat))
+        Golden_estimates.table)
+    golden_docs
+
+(* ---------- Statistics catalog ---------- *)
+
+module Database = Sjos_engine.Database
+module Query_opts = Sjos_engine.Query_opts
+
+let no_cache = Query_opts.make ~use_cache:false ()
+
+(* Every estimate a provider gives for a pattern, as bits. *)
+let provider_bits (p : Sjos_plan.Costing.provider) pat =
+  let n = Pattern.node_count pat in
+  let nodes = List.init n (fun i -> p.Sjos_plan.Costing.node_card i) in
+  let clusters =
+    List.filter_map
+      (fun mask ->
+        if Cardinality.is_connected pat mask then
+          Some (p.Sjos_plan.Costing.cluster_card mask)
+        else None)
+      (List.init ((1 lsl n) - 1) (fun m -> m + 1))
+  in
+  Array.of_list (List.map Int64.bits_of_float (nodes @ clusters))
+
+(* The reference a shared catalog must reproduce: the same estimates from
+   a catalog of their own. *)
+let fresh_bits ~grid pat =
+  let c = Cardinality.create ~grid (catalog (Lazy.force Helpers.pers_1k_index)) pat in
+  provider_bits
+    {
+      Sjos_plan.Costing.node_card = Cardinality.node_card c;
+      cluster_card = Cardinality.cluster_card c;
+    }
+    pat
+
+let pers_db ?grid ?cache_capacity () =
+  Database.of_document ?grid ?cache_capacity (Lazy.force Helpers.pers_1k)
+
+let builds db = (Catalog.stats (Database.catalog db)).Catalog.builds
+let slice_builds db = (Catalog.stats (Database.catalog db)).Catalog.slice_builds
+
+let test_catalog_repeat () =
+  let db = pers_db () in
+  let p = Helpers.pat "manager(//employee(/name))" in
+  check ci "fresh catalog" 0 (builds db);
+  ignore (Database.prepare ~opts:no_cache db p);
+  let s1 = Catalog.stats (Database.catalog db) in
+  check ci "one build per spec" 3 s1.Catalog.builds;
+  check ci "one slice build per / end" 2 s1.Catalog.slice_builds;
+  ignore (Database.prepare ~opts:no_cache db p);
+  let s2 = Catalog.stats (Database.catalog db) in
+  check ci "repeat builds no entry" s1.Catalog.builds s2.Catalog.builds;
+  check ci "repeat builds no slices" s1.Catalog.slice_builds
+    s2.Catalog.slice_builds;
+  check ci "repeat hits every node" (s1.Catalog.hits + 3) s2.Catalog.hits
+
+let test_catalog_cache_hit () =
+  let db = pers_db () in
+  let p = Helpers.pat "manager(//employee(/name))" in
+  ignore (Database.prepare db p);
+  let s1 = Catalog.stats (Database.catalog db) in
+  let prep = Database.prepare db p in
+  check cb "plan-cache hit" true (Database.prepared_from_cache prep);
+  let s2 = Catalog.stats (Database.catalog db) in
+  check ci "hit reads no entry" (s1.Catalog.builds + s1.Catalog.hits)
+    (s2.Catalog.builds + s2.Catalog.hits)
+
+let test_catalog_shared_specs () =
+  let db = pers_db () in
+  ignore
+    (Database.prepare ~opts:no_cache db
+       (Helpers.pat "manager(//employee(/name))"));
+  let b0 = builds db and sb0 = slice_builds db in
+  (* manager and name are cached; department is new, and so are its
+     slices (name's already exist) *)
+  ignore
+    (Database.prepare ~opts:no_cache db
+       (Helpers.pat "manager(//department(/name))"));
+  check ci "only the new spec is built" (b0 + 1) (builds db);
+  check ci "only the new slices are built" (sb0 + 1) (slice_builds db)
+
+let test_catalog_grids () =
+  let db = pers_db () in
+  let p = Helpers.pat "manager(//employee(/name),//department(/name))" in
+  let fingerprint db = provider_bits (Database.provider db p) p in
+  check (Alcotest.array Alcotest.int64) "grid 32" (fresh_bits ~grid:32 p)
+    (fingerprint db);
+  let b = builds db in
+  (* a per-query grid override builds its own entries... *)
+  let cost grid db =
+    (Database.prepared_result
+       (Database.prepare ~opts:(Query_opts.make ~grid ()) db p))
+      .Sjos_core.Optimizer.est_cost
+  in
+  let c8 = cost 8 db in
+  check ci "override builds its own grid" (b + 4) (builds db);
+  check Alcotest.int64 "override cost = fresh grid-8 database"
+    (Int64.bits_of_float (cost 8 (pers_db ~grid:8 ())))
+    (Int64.bits_of_float c8);
+  (* ...and neither it nor set_grid leaks into another grid *)
+  check (Alcotest.array Alcotest.int64) "grid 32 after override"
+    (fresh_bits ~grid:32 p) (fingerprint db);
+  Database.set_grid db 8;
+  check (Alcotest.array Alcotest.int64) "set_grid 8" (fresh_bits ~grid:8 p)
+    (fingerprint db);
+  Database.set_grid db 16;
+  check (Alcotest.array Alcotest.int64) "set_grid 16" (fresh_bits ~grid:16 p)
+    (fingerprint db)
+
+let test_catalog_lru () =
+  let db = pers_db ~cache_capacity:2 () in
+  let p = Helpers.pat "manager(//employee(/name),//department(/name))" in
+  let bits = provider_bits (Database.provider db p) p in
+  let s = Catalog.stats (Database.catalog db) in
+  check ci "capacity" 2 s.Catalog.capacity;
+  check cb "bounded" true (s.Catalog.entries <= 2);
+  check cb "evicted" true (s.Catalog.evictions > 0);
+  check (Alcotest.array Alcotest.int64) "estimates unaffected"
+    (fresh_bits ~grid:32 p) bits
+
+let test_catalog_concurrent () =
+  let pats =
+    List.map Helpers.pat
+      [
+        "manager(//employee(/name))";
+        "manager(//employee(/name),//department(/name))";
+        "manager(//employee(/name),//manager(/department(/name)))";
+        "manager(/name)";
+        "employee(/name)";
+        "manager(//department(/name),//manager(/employee(/name)))";
+      ]
+    |> Array.of_list
+  in
+  let run pool =
+    let db = pers_db () in
+    let bits =
+      Sjos_par.Pool.run pool (Array.length pats) (fun i ->
+          let p = pats.(i) in
+          ignore (Database.prepare ~opts:no_cache db p);
+          provider_bits (Database.provider db p) p)
+    in
+    (bits, builds db, slice_builds db)
+  in
+  let serial = run Sjos_par.Pool.serial in
+  List.iter
+    (fun domains ->
+      let pool = Sjos_par.Pool.create ~domains () in
+      let bits, b, sb = run pool in
+      Sjos_par.Pool.shutdown pool;
+      let sbits, sb_, ssb = serial in
+      check
+        Alcotest.(array (array int64))
+        (Printf.sprintf "%d domains: estimates" domains)
+        sbits bits;
+      check ci (Printf.sprintf "%d domains: builds" domains) sb_ b;
+      check ci (Printf.sprintf "%d domains: slice builds" domains) ssb sb)
+    [ 2; 4 ]
 
 let suite =
   [
@@ -182,4 +395,11 @@ let suite =
     ("cluster estimate vs exact", `Quick, test_cardinality_cluster_vs_exact);
     ("cardinality validation", `Quick, test_cardinality_validation);
     ("edge pairs and selectivity", `Quick, test_cardinality_edges);
+    ("golden estimate bits", `Quick, test_golden_estimates);
+    ("catalog: repeat prepare builds nothing", `Quick, test_catalog_repeat);
+    ("catalog: plan-cache hit reads nothing", `Quick, test_catalog_cache_hit);
+    ("catalog: shared specs are reused", `Quick, test_catalog_shared_specs);
+    ("catalog: grids never mix", `Quick, test_catalog_grids);
+    ("catalog: LRU bound holds", `Quick, test_catalog_lru);
+    ("catalog: concurrent prepares agree", `Quick, test_catalog_concurrent);
   ]

@@ -180,6 +180,53 @@ let test_counters_invariant_under_tracing () =
       check ci "pruned_deadend unchanged" pd pd')
     plain traced
 
+(* ---------- statistics catalog span ---------- *)
+
+(* Every [histogram.catalog] span in the forest, with whether it sits
+   under a [dpp.search] span. *)
+let catalog_spans json =
+  let rec walk ~in_search acc span =
+    let name = Json.member "name" span in
+    let in_search = in_search || name = Some (Json.Str "dpp.search") in
+    let acc =
+      if name = Some (Json.Str "histogram.catalog") then (span, in_search) :: acc
+      else acc
+    in
+    match Json.member "children" span with
+    | Some (Json.List cs) -> List.fold_left (walk ~in_search) acc cs
+    | _ -> acc
+  in
+  match json with
+  | Json.List roots -> List.fold_left (walk ~in_search:false) [] roots
+  | _ -> []
+
+let test_catalog_span () =
+  let db =
+    Database.of_document
+      (Workload.generate ~size:800 Workload.q_pers_3_d.Workload.dataset)
+  in
+  let opts = Query_opts.make ~use_cache:false () in
+  let pat = Workload.q_pers_3_d.Workload.pattern in
+  with_obs_enabled (fun () ->
+      ignore (Database.prepare ~opts db pat);
+      let spans = catalog_spans (Trace.to_json ()) in
+      check cb "cold prepare builds under histogram.catalog" true (spans <> []);
+      List.iter
+        (fun (span, in_search) ->
+          check cb "built before the search, not inside it" false in_search;
+          let attrs = Option.value (Json.member "attrs" span) ~default:Json.Null in
+          List.iter
+            (fun k -> check cb ("attribute " ^ k) true (Json.member k attrs <> None))
+            [ "spec"; "grid"; "rows" ])
+        spans;
+      check ci "builds counted"
+        (Sjos_histogram.Catalog.stats (Database.catalog db)).Sjos_histogram.Catalog.builds
+        (Registry.counter_value (Registry.counter "histogram.catalog_builds"));
+      Trace.reset ();
+      ignore (Database.prepare ~opts db pat);
+      check ci "repeat prepare builds nothing" 0
+        (List.length (catalog_spans (Trace.to_json ()))))
+
 (* ---------- EXPLAIN ANALYZE ---------- *)
 
 let analyze_queries () =
@@ -300,6 +347,8 @@ let suite =
     Alcotest.test_case "disabled layer records nothing" `Quick test_noop_mode;
     Alcotest.test_case "tracing leaves search effort unchanged" `Quick
       test_counters_invariant_under_tracing;
+    Alcotest.test_case "catalog builds are spanned, once" `Quick
+      test_catalog_span;
     Alcotest.test_case "EXPLAIN ANALYZE covers every operator" `Quick
       test_analyze_rows_populated;
     Alcotest.test_case "EXPLAIN ANALYZE renderings" `Quick

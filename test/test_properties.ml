@@ -142,7 +142,7 @@ let prop_estimator_bounds =
       let max_pos = Document.max_pos doc in
       let h tag =
         Sjos_histogram.Position_histogram.build ~grid:16 ~max_pos
-          (Element_index.lookup idx tag)
+          (Element_index.cols idx tag)
       in
       let ha = h "a" and hb = h "b" in
       let est = Sjos_histogram.Estimator.ancestor_descendant ~anc:ha ~desc:hb in
