@@ -155,7 +155,7 @@ let savings_query (query : Workload.query) =
   let lazy_misses = misses db in
   Column_store.reset_io store;
   List.iter
-    (fun tag -> ignore (Column_store.cols store tag))
+    (fun tag -> ignore (Column_store.select store (Candidate.of_tag tag)))
     (pattern_tags query.Workload.pattern);
   let full_misses = misses db in
   Database.dispose db;

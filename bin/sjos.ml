@@ -284,7 +284,12 @@ let storage_backend_opt =
     & opt (some backend_conv) None
     & info [ "storage" ] ~docv:"BACKEND"
         ~doc:
-          "Column storage backend: 'mem' (resident candidate columns) or            'disk' (out-of-core: per-tag columns in a binary page file, read            through an LRU buffer pool; queries fault in only the pages their            joins touch).  Defaults to the SJOS_STORAGE environment variable,            or mem.")
+          "Column storage backend: 'mem' (resident candidate columns, no \
+           page accounting) or 'disk' (page accounting over the same \
+           resident columns: every read is charged through an LRU buffer \
+           pool as page hits and misses; queries touch only the pages \
+           their joins examine).  Defaults to the SJOS_STORAGE environment \
+           variable, or mem.")
 
 let pool_pages_opt =
   Arg.(
@@ -302,12 +307,12 @@ let page_size_opt =
         ~doc:
           "Page size in items (8-byte ints) for $(b,--storage disk) (default            1024, i.e. 8 KiB pages).")
 
-let storage_config ?dir backend pool_pages page_size =
+let storage_config backend pool_pages page_size =
   match backend with
   | None -> None
   | Some Sjos_storage.Column_store.Mem -> Some Sjos_storage.Column_store.mem
   | Some Sjos_storage.Column_store.Disk ->
-      Some (Sjos_storage.Column_store.disk ?page_size ?pool_pages ?dir ())
+      Some (Sjos_storage.Column_store.disk ?page_size ?pool_pages ())
 
 let io_stats_json db =
   match Sjos_storage.Column_store.io_stats (Database.store db) with
@@ -728,11 +733,11 @@ let file_arg_pos0 =
 
 let serve_cmd =
   let run file socket tenants_file max_active max_queue deadline_ms domains
-      storage pool_pages page_size store_dir =
+      storage pool_pages page_size =
     guarded @@ fun () ->
     let db =
       Database.load_file
-        ?storage:(storage_config ?dir:store_dir storage pool_pages page_size)
+        ?storage:(storage_config storage pool_pages page_size)
         file
     in
     let tenants =
@@ -797,17 +802,6 @@ let serve_cmd =
             "Admission queue depth beyond the active set; further requests \
              are shed with a structured 'overloaded' error (default 16).")
   in
-  let store_dir_opt =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store-dir" ] ~docv:"DIR"
-          ~doc:
-            "Directory for the $(b,--storage disk) column file (created if \
-             missing).  Without it the store lives in an auto-removed temp \
-             directory; with it the caller owns the files — useful for \
-             inspecting them or for fault-injection tests.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -818,7 +812,7 @@ let serve_cmd =
     Term.(
       const run $ file_arg_pos0 $ socket_opt $ tenants_opt $ max_active_opt
       $ max_queue_opt $ deadline_opt $ domains_opt $ storage_backend_opt
-      $ pool_pages_opt $ page_size_opt $ store_dir_opt)
+      $ pool_pages_opt $ page_size_opt)
 
 let client_cmd =
   let run socket op pattern xpath algorithm tenant name limit deadline_ms

@@ -58,7 +58,7 @@ val ground_io :
 (** [ground_io f ~page_misses ~io_items] recalibrates the abstract
     [f_io] factor from a measured run on the Disk column store: if
     buffering [io_items] intermediate items caused [page_misses]
-    physical page reads (see {!Sjos_storage.Column_store.io_stats}),
+    buffer-pool misses (see {!Sjos_storage.Column_store.io_stats}),
     one buffered item costs [per_miss * page_misses / io_items]
     (default [per_miss] = {!default}'s [f_io], i.e. one miss keeps the
     default per-page weight).  Returns [f] unchanged when either

@@ -25,8 +25,7 @@ type t = {
   store : Column_store.t;
   (* Per-query [Query_opts.storage] overrides resolve through a small
      config-keyed memo, so repeated overridden queries share one store
-     (and, for Disk, one on-disk file set) instead of rewriting the
-     column file per query. *)
+     (and, for Disk, one buffer pool and its counters). *)
   stores_m : Mutex.t;
   mutable extra_stores : (Column_store.config * Column_store.t) list;
 }
@@ -95,12 +94,7 @@ let store_for t (opts : Query_opts.t) =
       s
 
 let dispose t =
-  Mutex.lock t.stores_m;
-  let extras = t.extra_stores in
-  t.extra_stores <- [];
-  Mutex.unlock t.stores_m;
-  List.iter (fun (_, s) -> Column_store.dispose s) extras;
-  Column_store.dispose t.store
+  Mutex.protect t.stores_m (fun () -> t.extra_stores <- [])
 
 let stats t =
   Mutex.lock t.stats_m;

@@ -44,8 +44,8 @@ val of_document :
     [storage] selects the column storage backend queries read candidate
     streams through, defaulting to
     {!Sjos_storage.Column_store.config_of_env} ([SJOS_STORAGE=mem|disk],
-    mem when unset).  A [Disk] store writes the per-tag column file at
-    this point — a load-time cost proportional to document size. *)
+    mem when unset).  A [Disk] store allocates its page segments at
+    this point — one pass over the tag list. *)
 
 val of_string :
   ?factors:Sjos_cost.Cost_model.factors ->
@@ -73,10 +73,10 @@ val store : t -> Column_store.t
     pool. *)
 
 val dispose : t -> unit
-(** Dispose the database's store and every memoized per-query override
-    store (deleting Disk files).  The database must not be queried
-    afterwards under a Disk configuration; Mem queries are unaffected.
-    Idempotent. *)
+(** Forget the memoized per-query override stores.  Stores hold no
+    resource beyond their heap values, so this only lets their pools be
+    collected; the database stays fully usable (a later override builds
+    a fresh, cold store).  Idempotent. *)
 
 val stats : t -> Stats.t
 (** Document statistics, computed once on first use (mutex-guarded memo —

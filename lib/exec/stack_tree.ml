@@ -29,15 +29,15 @@ module Registry = Sjos_obs.Registry
    and filled in one pass — growth-free, so grouping costs a handful of
    ns per input row; entries past [n] are unused.
 
-   The [e_*] closures are the out-of-core hook: before the merge reads a
-   group's metadata or a row range it calls the matching closure, which
-   for a disk-backed leaf faults the covering pages in through the
+   The [e_*] closures are the page-accounting hook: before the merge
+   reads a group's metadata or a row range it calls the matching
+   closure, which for a Disk leaf charges the covering pages through the
    buffer pool ({!Column_store.ensure_meta} and friends).  In-memory
    groups carry shared no-op closures, so the resident hot path pays one
-   indirect call per ensured access and nothing else.  Once a slot has
-   been decoded its value persists even if the pool later evicts the
-   backing page (re-reads are idempotent), so stacked ancestor groups
-   ensured at push time stay readable for the whole merge. *)
+   indirect call per ensured access and nothing else.  The values are
+   always the resident columns, so stacked ancestor groups ensured at
+   push time stay readable for the whole merge even after the pool
+   evicts their pages. *)
 type groups = {
   n : int;
   off : int array;
@@ -172,17 +172,17 @@ let fill_rows (l : leaf_input) lo hi =
   end
 
 let force_leaf (l : leaf_input) =
-  ignore (Column_store.force l.lf);
+  Column_store.force l.lf;
   fill_rows l 0 (Column_store.leaf_length l.lf)
 
 (* Candidate ids from the store are strictly increasing (document
    order), so every row is its own group and [off] is the identity —
    the exact grouping {!group} computes for the materialized scan.  The
-   metadata columns alias the leaf's buffer frames; slots become
-   readable as the ensure closures fault them in.  [e_meta]/[e_probe]
-   memoize their last index: the merge re-ensures the current group on
-   every iteration, and one [ref] comparison keeps that re-entry off
-   the pool. *)
+   metadata columns alias the leaf's resident columns; the merge calls
+   the ensure closures before reading a slot, so each read is charged
+   to the pool.  [e_meta]/[e_probe] memoize their last index: the merge
+   re-ensures the current group on every iteration, and one [ref]
+   comparison keeps that re-entry off the pool. *)
 let leaf_groups (l : leaf_input) =
   let c = Column_store.leaf_cols l.lf in
   let n = Column_store.leaf_length l.lf in
@@ -236,8 +236,8 @@ let poll_merge ~budget iters =
 
 (* First index in [lo, hi) whose value is >= [target]; [hi] if none.
    Exponential probe followed by binary search, so a jump over [d] items
-   costs O(log d) instead of O(d).  [probe] faults each examined index in
-   before its value is read (a no-op for resident inputs) — the skip
+   costs O(log d) instead of O(d).  [probe] charges each examined index
+   before its value is read (a no-op for Mem inputs) — the skip
    over [d] items therefore costs O(log d) page touches too, which is
    exactly the out-of-core saving the IO bench measures. *)
 let gallop ~probe (a : int array) lo hi target =

@@ -48,14 +48,14 @@ open Sjos_plan
 (** {1 Join inputs}
 
     The kernels accept either a resident columnar batch or a lazy
-    disk-backed leaf — one tag's candidate columns served page-at-a-time
-    by a {!Sjos_storage.Column_store.leaf}.  A leaf input faults in only
-    what the merge examines: group metadata for groups actually
-    compared, single [starts] probes for gallop skip-ahead (an O(log d)
-    page cost for a skip over [d] items), and the [ids] column only for
-    rows that reach an emitted pair.  Outputs and all counters except
-    page/IO accounting are bit-identical to running the same join over
-    the materialized batch.
+    Disk leaf — one tag's resident candidate columns whose reads are
+    charged page-at-a-time by a {!Sjos_storage.Column_store.leaf}.  A
+    leaf input charges only what the merge examines: group metadata for
+    groups actually compared, single [starts] probes for gallop
+    skip-ahead (an O(log d) page cost for a skip over [d] items), and
+    the [ids] column only for rows that reach an emitted pair.  Outputs
+    and all counters except page/IO accounting are bit-identical to
+    running the same join over the materialized batch.
 
     Sharded (multi-domain) runs force leaf inputs resident before
     cutting, so their page accounting is a deterministic full scan
@@ -79,7 +79,7 @@ val to_batch : input -> Batch.t
 (** {1 Kernel internals shared with the holistic twig kernel}
 
     {!Twig_stack} drives the same input machinery — grouped candidate
-    streams with lazy out-of-core faulting, and galloping skip-ahead —
+    streams with lazy page accounting, and galloping skip-ahead —
     so leaves, probes and skip accounting behave identically whether a
     stream feeds a binary Stack-Tree merge or the holistic pass. *)
 
@@ -94,9 +94,9 @@ type groups = {
   e_rows : int -> int -> unit;  (** fault absolute row range [lo, hi) *)
 }
 (** One input grouped by its join slot: consecutive rows sharing the
-    join node form a group; the [e_*] closures fault a disk-backed
-    leaf's pages in before the corresponding array slots are read
-    (no-ops for resident inputs). *)
+    join node form a group; the [e_*] closures charge a Disk leaf's
+    pages to the buffer pool before the corresponding array slots are
+    read (no-ops for Mem inputs). *)
 
 val group_input : cols:Cols.t Lazy.t -> input -> int -> groups
 (** Group an input by slot.  Raises [Invalid_argument] when the input is

@@ -82,8 +82,6 @@ let of_exn = function
      classes as a request error rather than [Internal].  This matches
      the CLI, which has always exited 3 on [Invalid_argument]. *)
   | Invalid_argument msg -> Some (Invalid_request msg)
-  | Sjos_storage.Column_store.Io_error { path; reason } ->
-      Some (Corrupt_input { source = path; reason })
   | _ -> None
 
 let protect ?map f =

@@ -25,8 +25,7 @@ type t =
           transparently) *)
   | Corrupt_input of { source : string; reason : string }
       (** corrupt data detected at a trust boundary, e.g. an externally
-          supplied candidate stream out of document order, or a column
-          data file gone missing/truncated underneath a disk store *)
+          supplied candidate stream out of document order *)
   | Internal of string
       (** an engine invariant failed — a bug, reported structurally
           rather than as an escaped exception *)
@@ -63,8 +62,7 @@ val message : t -> string
 
 val of_exn : exn -> t option
 (** Map the exceptions this library owns ({!Error}, {!Budget.Exhausted})
-    and the storage layer's [Column_store.Io_error] (to
-    {!Corrupt_input}) to their value form. *)
+    and [Invalid_argument] (to {!Invalid_request}) to their value form. *)
 
 val protect : ?map:(exn -> t option) -> (unit -> 'a) -> ('a, t) result
 (** Run the thunk, converting raised errors to values: {!of_exn} first,

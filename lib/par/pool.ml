@@ -171,11 +171,7 @@ let get_default () =
     | None ->
         let p = create () in
         default_pool := Some p;
-        (* Through Lifecycle so that disk-backed column stores (stage
-           [`Dispose]) are always released before the pool's workers are
-           joined, whichever subsystem initialized first. *)
-        if p.size > 1 then
-          Sjos_obs.Lifecycle.on_exit `Shutdown (fun () -> shutdown p);
+        if p.size > 1 then at_exit (fun () -> shutdown p);
         p
   in
   Mutex.unlock default_m;

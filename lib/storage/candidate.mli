@@ -36,7 +36,7 @@ val select_cols : Element_index.t -> spec -> Cols.t
 val is_pure_tag : spec -> bool
 (** [true] when the spec is a plain tag test with no attribute or text
     predicate — the case whose candidate list is exactly one tag's
-    column file in the disk store. *)
+    columns, served by a lazy leaf in the Disk store. *)
 
 val spec_to_string : spec -> string
 val pp_spec : spec Fmt.t

@@ -3,30 +3,26 @@
     Every query reads its per-tag candidate columns ({!Cols.t}) through
     this one API.  Two backends implement it:
 
-    - {b Mem} — today's behavior: the element index's cached flat
-      arrays, no page accounting.  The default.
-    - {b Disk} — an out-of-core store.  At creation the per-tag
-      [(id, start, end, level)] columns are written to a binary page
-      file ([columns.bin]: 8-byte little-endian ints, each column a
-      page-aligned segment, zero-padded).  Reads go page-at-a-time
-      through the LRU {!Pager}: a pool miss performs a physical
-      [seek]+[read] of that page and decodes it into the tag's buffer
-      frames.  Candidate sets are {e lazily materialized} — a query
-      faults in only the tags, columns and page ranges it actually
-      touches, which is what lets the skip-ahead join kernels turn
-      skipped input runs into avoided page reads.
+    - {b Mem} — the element index's cached flat arrays, no page
+      accounting.  The default.
+    - {b Disk} — a simulated paged column store: page accounting over
+      the same resident columns.  At creation every tag's
+      [(id, start, end, level)] columns are laid out as four
+      page-aligned segments of the LRU {!Pager}'s page-id space, and
+      every read charges the pages covering it as hits or misses.  Reads
+      are lazy: a query touches only the tags, columns and page ranges
+      its joins actually examine, which is what lets the skip-ahead join
+      kernels turn skipped input runs into avoided page misses.  The
+      values always come from {!Element_index.cols}; a miss costs an LRU
+      update, not a read.
 
-    Correctness is backend-independent by construction: the disk file is
-    written from the same index the Mem backend serves, and decode is
-    idempotent (a page re-read after eviction carries identical bytes),
-    so outputs and all work counters except [page_touches]/IO statistics
-    are bit-identical across backends — the differential property
-    [test/test_store.ml] locks down.
+    Outputs and all work counters except [page_touches]/IO statistics
+    are therefore bit-identical across backends — the differential
+    property [test/test_store.ml] locks down.
 
-    Thread-safety: the entire fault path (pager LRU state, read buffer,
-    channel position, frame allocation) runs under one per-store mutex;
-    decoded frame slots are only ever rewritten with the value they
-    already hold.  Safe under any [SJOS_DOMAINS]. *)
+    Thread-safety: the pager's LRU state and counters are guarded by one
+    per-store mutex, held only for the bookkeeping of one charge (one
+    acquisition per [ensure_*] call).  Safe under any [SJOS_DOMAINS]. *)
 
 open Sjos_xml
 
@@ -38,9 +34,6 @@ type config = {
   backend : backend;
   page_size : int;  (** items (8-byte ints) per page *)
   pool_pages : int;  (** resident pages in the LRU pool *)
-  dir : string option;
-      (** where the Disk files live; [None] allocates a fresh temp
-          directory that is removed at process exit *)
 }
 
 val default_page_size : int
@@ -52,7 +45,7 @@ val default_pool_pages : int
 val mem : config
 (** The Mem backend (page/pool fields are carried but unused). *)
 
-val disk : ?page_size:int -> ?pool_pages:int -> ?dir:string -> unit -> config
+val disk : ?page_size:int -> ?pool_pages:int -> unit -> config
 (** A Disk configuration.  Raises [Invalid_argument] on non-positive
     sizes. *)
 
@@ -72,58 +65,44 @@ val pp_config : config Fmt.t
 
 type t
 
-exception Io_error of { path : string; reason : string }
-(** A physical read of the column data file failed: the file has gone
-    missing since load, or is truncated/corrupt.  Raised from the fault
-    path; {!Sjos_guard.Error.of_exn} maps it to [Corrupt_input], so CLI
-    and server boundaries report it structurally (exit code 7) instead
-    of leaking a [Sys_error]. *)
-
 val create : ?config:config -> Element_index.t -> t
-(** [create ~config index] — for [Disk], writes the column file from the
-    index's candidate lists (load-time cost, proportional to document
-    size).  The read channel is opened lazily on the first page fault;
-    a data file that disappears or is damaged between load and first
-    read raises {!Io_error} at fault time. *)
+(** [create ~config index] — for [Disk], allocates each tag's column
+    segments in a fresh, cold buffer pool (one pass over the tag list;
+    no column is copied). *)
 
 val index : t -> Element_index.t
-val document : t -> Document.t
 val config : t -> config
 val is_disk : t -> bool
 
 val io_stats : t -> Pager.stats option
 (** The buffer pool's access/hit/miss/eviction counters ([None] for
-    Mem).  Misses are physical page reads. *)
+    Mem).  Misses are the page reads a paged store would perform. *)
 
 val reset_io : t -> unit
 (** Cold-start the pool ({!Pager.reset}): statistics zeroed, every page
     non-resident.  No-op for Mem. *)
 
-val data_file : t -> string option
 val pool_bytes : t -> int option
+(** The modelled pool capacity in bytes (8-byte items); [None] for Mem. *)
+
 val total_column_bytes : t -> int option
+(** The modelled size of every column segment in bytes, page-padded;
+    [None] for Mem. *)
 
 val dispose : t -> unit
-(** Close and delete the Disk files (no-op for Mem).  Idempotent:
-    disposing an already disposed store does nothing.  Any later fault
-    raises [Invalid_argument].  Stores in auto-created temp directories
-    are also disposed at process exit, through
-    [Sjos_obs.Lifecycle] stage [`Dispose] — deterministically before
-    the default domain pool's [`Shutdown] teardown. *)
+(** Does nothing: a store holds no resource beyond its heap values.
+    Kept for callers that scope a store's lifetime. *)
 
 (** {1 Materializing reads}
 
-    These return fully resident columns.  On Disk they charge the full
+    These return the resident columns.  On Disk they charge the full
     sequential scan of every column segment they cover — this is the
     full-scan baseline the lazy leaves are measured against. *)
 
-val cols : t -> string -> Cols.t
-(** One tag's complete candidate columns. *)
-
 val select : t -> Candidate.spec -> Cols.t
-(** Candidate columns for a spec.  On Disk, a predicate spec charges the
-    full scan of its tag's segments (a wildcard scans every tag) and
-    filters in memory; results are bit-identical to the Mem backend. *)
+(** Candidate columns for a spec.  On Disk, charges the full scan of
+    the spec's tag's segments once (a wildcard scans every tag); results
+    are bit-identical to the Mem backend. *)
 
 val select_nodes : t -> Candidate.spec -> Node.t array
 (** Node-array counterpart of {!select} for the legacy engine; same
@@ -131,12 +110,13 @@ val select_nodes : t -> Candidate.spec -> Node.t array
 
 (** {1 Lazy leaves}
 
-    A leaf is a handle on one tag's on-disk columns that faults pages in
-    on demand.  The join kernels drive it range-by-range: group metadata
-    ([starts]/[ends]/[levels]) for groups actually examined, single
-    [starts] probes for gallop skip-ahead, and [ids] only for rows that
-    reach the output.  Reading a frame slot is only valid after an
-    [ensure_*] covering it. *)
+    A leaf is a handle on one tag's resident columns whose page
+    accounting is driven by the reader.  The join kernels charge it
+    range-by-range: group metadata ([starts]/[ends]/[levels]) for groups
+    actually examined, single [starts] probes for gallop skip-ahead, and
+    [ids] only for rows that reach the output.  A reader calls the
+    [ensure_*] covering a slot before reading it, so the charges model
+    exactly what a paged store would have had to read. *)
 
 type leaf
 
@@ -146,23 +126,22 @@ val leaf : t -> Candidate.spec -> leaf option
     otherwise. *)
 
 val leaf_length : leaf -> int
-(** Number of candidate rows — answered from the catalog, no IO. *)
+(** Number of candidate rows — no page charge. *)
 
 val leaf_cols : leaf -> Cols.t
-(** The tag's buffer frames.  Slots are meaningful only after an
-    [ensure_*] call covering them; do not mutate. *)
-
-val leaf_tag : leaf -> string
+(** The tag's resident columns ({!Element_index.cols}); do not
+    mutate.  Reading them charges nothing — call the covering
+    [ensure_*] first. *)
 
 val ensure_probe : leaf -> int -> unit
-(** Fault in [starts.(i)] — one page touch; the gallop probe. *)
+(** Charge [starts.(i)] — one page touch; the gallop probe. *)
 
 val ensure_meta : leaf -> int -> int -> unit
-(** Fault in [starts]/[ends]/[levels] for item range [\[lo, hi)]
-    (clamped to the leaf). *)
+(** Charge [starts], [ends] then [levels] for item range [\[lo, hi)]
+    (clamped to the leaf), under one lock acquisition. *)
 
 val ensure_ids : leaf -> int -> int -> unit
-(** Fault in [ids] for item range [\[lo, hi)] (clamped). *)
+(** Charge [ids] for item range [\[lo, hi)] (clamped). *)
 
-val force : leaf -> Cols.t
-(** Fault in everything; the result is fully resident. *)
+val force : leaf -> unit
+(** Charge the full scan of all four columns. *)

@@ -69,35 +69,28 @@ let evict_lru t =
       t.resident <- t.resident - 1;
       t.evictions <- t.evictions + 1
 
-(* LRU bookkeeping only — no work accounting.  Returns whether the page
-   was resident (a hit).  Callers charge [Work.page_touches] themselves,
-   which lets the batch entry points below fetch the calling domain's
-   accumulator once per call instead of once per page (the Domain.DLS
-   read used to sit on the per-touch path). *)
+(* LRU bookkeeping only — no work accounting.  Callers charge
+   [Work.page_touches] themselves, which lets the batch entry points
+   below fetch the calling domain's accumulator once per call instead of
+   once per page. *)
 let touch_cell t page =
   t.accesses <- t.accesses + 1;
   match Hashtbl.find_opt t.table page with
   | Some cell ->
       t.hits <- t.hits + 1;
       unlink t cell;
-      push_front t cell;
-      true
+      push_front t cell
   | None ->
       t.misses <- t.misses + 1;
       if t.resident >= t.pool_pages then evict_lru t;
       let cell = { page; prev = None; next = None } in
       Hashtbl.replace t.table page cell;
       push_front t cell;
-      t.resident <- t.resident + 1;
-      false
+      t.resident <- t.resident + 1
 
 let charge_touches n =
   let w = Sjos_obs.Work.current () in
   w.Sjos_obs.Work.page_touches <- w.Sjos_obs.Work.page_touches + n
-
-let touch t page =
-  charge_touches 1;
-  ignore (touch_cell t page)
 
 let pages_for t items = max 1 ((items + t.page_size - 1) / t.page_size)
 
@@ -108,14 +101,12 @@ let allocate t ~items =
   seg
 
 let segment_pages t seg = pages_for t seg.items
-let segment_base seg = seg.first_page
-let segment_items seg = seg.items
 
 let scan t seg =
   let p0 = seg.first_page and p1 = seg.first_page + pages_for t seg.items - 1 in
   charge_touches (p1 - p0 + 1);
   for p = p0 to p1 do
-    ignore (touch_cell t p)
+    touch_cell t p
   done
 
 let page_span t seg ~first_item ~n_items =
@@ -130,16 +121,7 @@ let scan_range t seg ~first_item ~n_items =
     let p0, p1 = page_span t seg ~first_item ~n_items in
     charge_touches (p1 - p0 + 1);
     for p = p0 to p1 do
-      ignore (touch_cell t p)
-    done
-  end
-
-let fault_range t seg ~first_item ~n_items ~on_miss =
-  if n_items > 0 then begin
-    let p0, p1 = page_span t seg ~first_item ~n_items in
-    charge_touches (p1 - p0 + 1);
-    for p = p0 to p1 do
-      if not (touch_cell t p) then on_miss p
+      touch_cell t p
     done
   end
 

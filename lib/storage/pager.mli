@@ -6,14 +6,13 @@
     fixed-size pages; every access goes through the pool and is accounted
     as a hit or a miss (a miss evicts the least-recently-used resident
     page).  The executor's abstract [f_IO] factor is grounded here: one
-    miss = one physical page read.
+    miss = one page read.
 
-    The pager itself only decides {e which} accesses are misses; it is
-    deliberately independent of where the bytes live.  {!Column_store}
-    supplies the bytes: its [Disk] backend preads a page from its column
-    file on every miss reported by {!fault_range}.  The older simulation
-    entry points ({!scan}, {!scan_range}, {!touch}) remain for access-
-    pattern experiments that don't need data.
+    The pager holds no data: it only decides {e which} accesses are
+    misses.  {!Column_store}'s [Disk] backend lays every tag's columns
+    out as segments here and charges each read through {!scan_range},
+    while the values stay in the resident in-memory columns — a miss is
+    an accounting event (the read a paged store would perform), not IO.
 
     Every access charges one [Work.page_touches] unit.  The batch entry
     points fetch the calling domain's accumulator once per call, not once
@@ -29,7 +28,7 @@ val create : ?page_size:int -> pool_pages:int -> unit -> t
 val page_size : t -> int
 
 type segment
-(** A contiguous on-disk area holding a known number of items. *)
+(** A contiguous run of pages holding a known number of items. *)
 
 val allocate : t -> items:int -> segment
 (** Allocate a segment (e.g. one tag's candidate list, or a materialized
@@ -37,31 +36,12 @@ val allocate : t -> items:int -> segment
 
 val segment_pages : t -> segment -> int
 
-val segment_base : segment -> int
-(** The segment's first (absolute) page id.  Page ids are allocated
-    sequentially, so a store laying segments out in allocation order can
-    derive a page's file offset as [page_id * page_byte_size]. *)
-
-val segment_items : segment -> int
-
-val touch : t -> int -> unit
-(** Access one page by absolute id, charging one [Work.page_touches]
-    unit.  Prefer the batch entry points below on hot paths — they fetch
-    the work accumulator once per call, not once per page. *)
-
 val scan : t -> segment -> unit
 (** Touch all pages of a segment in order — a full sequential scan. *)
 
 val scan_range : t -> segment -> first_item:int -> n_items:int -> unit
 (** Touch the pages covering an item range.  Raises [Invalid_argument] if
     the range exceeds the segment. *)
-
-val fault_range :
-  t -> segment -> first_item:int -> n_items:int -> on_miss:(int -> unit) -> unit
-(** Like {!scan_range}, but calls [on_miss page_id] for every touched
-    page that was not resident — the hook where a real backend performs
-    the physical read.  Misses are reported in LRU-decision order.
-    Raises [Invalid_argument] if the range exceeds the segment. *)
 
 type stats = { accesses : int; hits : int; misses : int; evictions : int }
 

@@ -119,97 +119,6 @@ datapoint 3 200
 gate_case fail "perf-gate catches a 2x comparisons regression"
 rm -rf "$GATE_DIR"
 
-# ---- disk storage failure paths -------------------------------------
-# A server with --storage disk opens its column file lazily, on the
-# first page fault.  Damaging the file between startup and the first
-# query therefore surfaces as a structured corrupt_input error on the
-# request that faults -- never a crash -- and the server stays up.
-#
-# These need a long-lived background process, so they use the built
-# binary directly (dune exec would put dune between us and the signal).
-BIN=./_build/default/bin/sjos.exe
-if [ ! -x "$BIN" ]; then
-  case "$SJOS" in
-  *dune*) : ;; # dune exec above already built it; if not, skip below
-  *) BIN=${SJOS% *} ;;
-  esac
-fi
-if [ -x "$BIN" ]; then
-  SOCK="${TMPDIR:-/tmp}/sjos_smoke_$$.sock"
-  DIR="${TMPDIR:-/tmp}/sjos_smoke_store_$$"
-
-  wait_ready() { # wait_ready PID LABEL -> 0 when serving, 1 on timeout
-    tries=0
-    while ! "$BIN" client health --socket "$SOCK" >/dev/null 2>&1; do
-      tries=$((tries + 1))
-      if [ "$tries" -ge 100 ]; then
-        say "FAIL $2: server (pid $1) never became ready"
-        return 1
-      fi
-      sleep 0.1
-    done
-    return 0
-  }
-
-  expect_client() { # expect_client CODE CLASS LABEL cmd...
-    want=$1
-    wantclass=$2
-    label=$3
-    shift 3
-    out=$("$@" 2>/dev/null)
-    got=$?
-    if [ "$got" -ne "$want" ]; then
-      say "FAIL $label: exit $got, wanted $want"
-      say "     stdout: $out"
-      fails=$((fails + 1))
-    elif [ -n "$wantclass" ] &&
-      ! printf '%s' "$out" | grep -q "\"class\": \"$wantclass\""; then
-      say "FAIL $label: response lacks error class $wantclass:"
-      say "     $out"
-      fails=$((fails + 1))
-    else
-      say "ok   $label (exit $got)"
-    fi
-  }
-
-  serve_disk_case() { # serve_disk_case LABEL DAMAGE-CMD...
-    label=$1
-    shift
-    rm -rf "$DIR" "$SOCK"
-    "$BIN" serve "$XML" --socket "$SOCK" --storage disk \
-      --store-dir "$DIR" --pool-pages 2 2>/dev/null &
-    srv=$!
-    if wait_ready "$srv" "$label"; then
-      "$@" # damage the column file before the first page fault
-      expect_client 7 corrupt_input "$label" \
-        "$BIN" client exec --socket "$SOCK" \
-        --pattern "manager(//employee(/name))"
-      # the fault was isolated to that request: the server still answers
-      expect_client 0 "" "$label: server survives the IO fault" \
-        "$BIN" client health --socket "$SOCK"
-      kill -TERM "$srv" 2>/dev/null
-      wait "$srv" 2>/dev/null
-      drain_rc=$?
-      if [ "$drain_rc" -ne 0 ]; then
-        say "FAIL $label: drain exited $drain_rc"
-        fails=$((fails + 1))
-      fi
-    else
-      fails=$((fails + 1))
-      kill "$srv" 2>/dev/null
-      wait "$srv" 2>/dev/null
-    fi
-    rm -rf "$DIR" "$SOCK"
-  }
-
-  serve_disk_case "disk store: missing columns.bin" \
-    rm -f "$DIR/columns.bin"
-  serve_disk_case "disk store: truncated columns.bin" \
-    sh -c ": > '$DIR/columns.bin'"
-else
-  say "skip disk failure paths: no built binary at $BIN"
-fi
-
 rm -f "$BAD"
 if [ "$fails" -eq 0 ]; then
   say "cli error smoke: all checks passed"
