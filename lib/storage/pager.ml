@@ -1,20 +1,21 @@
-(* LRU implemented with an intrusive doubly-linked list over page cells plus
-   a hash table from page id to cell. *)
+(* LRU as an intrusive doubly-linked list over dense page ids: page ids
+   are allocated as [0 .. next_page - 1], so the links live in two int
+   arrays indexed by page id, grown in [allocate].  A touch is a few
+   array reads and writes, with no lookup and no allocation. *)
 
 type stats = { accesses : int; hits : int; misses : int; evictions : int }
 
-type cell = {
-  page : int;
-  mutable prev : cell option;
-  mutable next : cell option;
-}
+(* link value of a page that is not resident; [nil] ends the list *)
+let absent = -2
+let nil = -1
 
 type t = {
   page_size : int;
   pool_pages : int;
-  table : (int, cell) Hashtbl.t;
-  mutable head : cell option;  (* most recently used *)
-  mutable tail : cell option;  (* least recently used *)
+  mutable prev : int array;  (* toward the head; [absent] when not resident *)
+  mutable next : int array;  (* toward the tail *)
+  mutable head : int;  (* most recently used, or [nil] *)
+  mutable tail : int;  (* least recently used, or [nil] *)
   mutable resident : int;
   mutable next_page : int;  (* page-id allocator *)
   mutable accesses : int;
@@ -31,9 +32,10 @@ let create ?(page_size = 256) ~pool_pages () =
   {
     page_size;
     pool_pages;
-    table = Hashtbl.create (4 * pool_pages);
-    head = None;
-    tail = None;
+    prev = [||];
+    next = [||];
+    head = nil;
+    tail = nil;
     resident = 0;
     next_page = 0;
     accesses = 0;
@@ -44,30 +46,25 @@ let create ?(page_size = 256) ~pool_pages () =
 
 let page_size t = t.page_size
 
-let unlink t cell =
-  (match cell.prev with
-  | Some p -> p.next <- cell.next
-  | None -> t.head <- cell.next);
-  (match cell.next with
-  | Some n -> n.prev <- cell.prev
-  | None -> t.tail <- cell.prev);
-  cell.prev <- None;
-  cell.next <- None
+let unlink t p =
+  let pp = t.prev.(p) and np = t.next.(p) in
+  if pp = nil then t.head <- np else t.next.(pp) <- np;
+  if np = nil then t.tail <- pp else t.prev.(np) <- pp
 
-let push_front t cell =
-  cell.next <- t.head;
-  cell.prev <- None;
-  (match t.head with Some h -> h.prev <- Some cell | None -> t.tail <- Some cell);
-  t.head <- Some cell
+let push_front t p =
+  t.prev.(p) <- nil;
+  t.next.(p) <- t.head;
+  if t.head = nil then t.tail <- p else t.prev.(t.head) <- p;
+  t.head <- p
 
 let evict_lru t =
-  match t.tail with
-  | None -> ()
-  | Some lru ->
-      unlink t lru;
-      Hashtbl.remove t.table lru.page;
-      t.resident <- t.resident - 1;
-      t.evictions <- t.evictions + 1
+  let lru = t.tail in
+  if lru <> nil then begin
+    unlink t lru;
+    t.prev.(lru) <- absent;
+    t.resident <- t.resident - 1;
+    t.evictions <- t.evictions + 1
+  end
 
 (* LRU bookkeeping only — no work accounting.  Callers charge
    [Work.page_touches] themselves, which lets the batch entry points
@@ -75,18 +72,19 @@ let evict_lru t =
    once per page. *)
 let touch_cell t page =
   t.accesses <- t.accesses + 1;
-  match Hashtbl.find_opt t.table page with
-  | Some cell ->
-      t.hits <- t.hits + 1;
-      unlink t cell;
-      push_front t cell
-  | None ->
-      t.misses <- t.misses + 1;
-      if t.resident >= t.pool_pages then evict_lru t;
-      let cell = { page; prev = None; next = None } in
-      Hashtbl.replace t.table page cell;
-      push_front t cell;
-      t.resident <- t.resident + 1
+  if t.prev.(page) <> absent then begin
+    t.hits <- t.hits + 1;
+    if t.head <> page then begin
+      unlink t page;
+      push_front t page
+    end
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    if t.resident >= t.pool_pages then evict_lru t;
+    push_front t page;
+    t.resident <- t.resident + 1
+  end
 
 let charge_touches n =
   let w = Sjos_obs.Work.current () in
@@ -98,6 +96,12 @@ let allocate t ~items =
   if items < 0 then invalid_arg "Pager.allocate: negative size";
   let seg = { first_page = t.next_page; items } in
   t.next_page <- t.next_page + pages_for t items;
+  let cap = Array.length t.prev in
+  if t.next_page > cap then begin
+    let grow a = Array.append a (Array.make (max t.next_page (2 * cap) - cap) absent) in
+    t.prev <- grow t.prev;
+    t.next <- grow t.next
+  end;
   seg
 
 let segment_pages t seg = pages_for t seg.items
@@ -139,9 +143,9 @@ let reset_stats t =
    without forgetting segment allocations, so benches can re-measure
    the same segments against a cold pool. *)
 let reset t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None;
+  Array.fill t.prev 0 (Array.length t.prev) absent;
+  t.head <- nil;
+  t.tail <- nil;
   t.resident <- 0;
   reset_stats t
 
