@@ -1,11 +1,14 @@
-(* The large-pattern optimizer tier, gated.
+(* The large-pattern optimizer tiers, gated.
 
-   Five deterministic gates:
+   Seven deterministic gates:
 
-   1. Cost equality — on every generated pattern of <= 10 nodes (all
-      four shape classes), BigDP's estimated cost equals exhaustive
-      DP's to 1e-9 relative.
-   2. Sub-second at 30 — every 30-node cell optimizes in under one
+   1. Cost equality — on every generated pattern of <= 12 nodes (all
+      four shape classes), the exact subset DP's estimated cost equals
+      DPP's bit for bit, and on <= 10 nodes DP's; the BigDP beam equals
+      DP's bit for bit on <= 10 nodes.  DP and DPP run directly on a
+      search context: through the optimizer they would re-tier onto the
+      subset DP.
+   2. Sub-second at 30 — every 30-node beam cell optimizes in under one
       second of wall clock.
    3. DP infeasibility — exhaustive DP is timed on a ladder of growing
       star patterns (each rung under a deadline budget); a least-squares
@@ -15,8 +18,12 @@
    4. Deterministic work — running every scaling cell twice yields
       identical Work.expansions / Work.plans_considered and identical
       estimated cost.
-   5. Table 2 exact — the paper-scale plan counters under the default
+   5. Exact tier pinned — the exact subset DP's Work.expansions /
+      Work.plans_considered on the 8-16-node cells equal pinned values
+      (work, not seconds).
+   6. Table 2 exact — the paper-scale plan counters under the default
       engine stay 520/226/163/69/42/18.
+   7. Non-empty work on every beam cell.
 
    The generator seed is fixed at 42.  Appends a "bigopt" perf-history
    datapoint.
@@ -25,6 +32,7 @@
 
 module Optimizer = Sjos_core.Optimizer
 module Bigdp = Sjos_core.Bigdp
+module Search = Sjos_core.Search
 module Shapes = Sjos_pattern.Shapes
 module Costing = Sjos_plan.Costing
 module Work = Sjos_obs.Work
@@ -51,28 +59,46 @@ let optimize algo p = Optimizer.optimize ~provider:synth_provider algo p
 type diff_row = {
   d_shape : string;
   d_nodes : int;
-  d_dp : float;
-  d_big : float;
+  d_tier : string;
+  d_oracle : string;
+  d_oracle_cost : float;
+  d_cost : float;
 }
 
-let diff_ok r =
-  abs_float (r.d_dp -. r.d_big) <= 1e-9 *. max 1.0 (abs_float r.d_dp)
+let diff_ok r = Int64.bits_of_float r.d_oracle_cost = Int64.bits_of_float r.d_cost
+
+(* a status search run as asked, priced by the optimizer's tally *)
+let oracle run p =
+  let ctx = Search.make_ctx ~provider:synth_provider p in
+  Search.plan_cost ctx (snd (run ctx))
 
 let differential () =
   List.concat_map
     (fun shape ->
-      List.map
+      List.concat_map
         (fun nodes ->
           let p = Shapes.generate ~seed ~nodes shape in
-          let dp = optimize Optimizer.Dp p in
-          let big = optimize (Optimizer.Big_dp Bigdp.default_width) p in
-          {
-            d_shape = Shapes.gen_shape_name shape;
-            d_nodes = nodes;
-            d_dp = dp.Optimizer.est_cost;
-            d_big = big.Optimizer.est_cost;
-          })
-        [ 4; 5; 6; 7; 8; 9; 10 ])
+          let row tier oracle_name oracle_cost =
+            {
+              d_shape = Shapes.gen_shape_name shape;
+              d_nodes = nodes;
+              d_tier = Optimizer.name tier;
+              d_oracle = oracle_name;
+              d_oracle_cost = oracle_cost;
+              d_cost = (optimize tier p).Optimizer.est_cost;
+            }
+          in
+          let dpp = oracle (fun ctx -> Sjos_core.Dpp.run ctx) p in
+          row Optimizer.Subset_dp "DPP" dpp
+          ::
+          (if nodes > 10 then []
+           else
+             let dp = oracle Sjos_core.Dp.run p in
+             [
+               row Optimizer.Subset_dp "DP" dp;
+               row (Optimizer.Big_dp Bigdp.default_width) "DP" dp;
+             ]))
+        [ 4; 5; 6; 7; 8; 9; 10; 11; 12 ])
     Shapes.all_gen_shapes
 
 (* ---------- gates 2 and 4: scaling cells, timed and repeated ------- *)
@@ -88,13 +114,11 @@ type scale_row = {
   s_deterministic : bool;
 }
 
-let scale_cell shape nodes =
+let scale_cell algo shape nodes =
   let p = Shapes.generate ~seed ~nodes shape in
   let run () =
     let t0 = Sjos_obs.Clock.now_ns () in
-    let work, outcome =
-      Work.scoped (fun () -> optimize (Optimizer.Big_dp Bigdp.default_width) p)
-    in
+    let work, outcome = Work.scoped (fun () -> optimize algo p) in
     let seconds = Sjos_obs.Clock.elapsed_seconds ~since:t0 in
     match outcome with Ok r -> (work, r, seconds) | Error e -> raise e
   in
@@ -116,23 +140,73 @@ let scale_cell shape nodes =
 
 let scaling () =
   List.concat_map
-    (fun shape -> List.map (scale_cell shape) [ 15; 25; 30; 40 ])
+    (fun shape ->
+      List.map
+        (scale_cell (Optimizer.Big_dp Bigdp.default_width) shape)
+        [ 15; 25; 30; 40 ])
     Shapes.all_gen_shapes
+
+let exact_scaling () =
+  List.concat_map
+    (fun shape ->
+      List.map (scale_cell Optimizer.Subset_dp shape) [ 8; 10; 12; 14; 16 ])
+    Shapes.all_gen_shapes
+
+(* ---------- gate 5: the exact tier's work, pinned ---------- *)
+
+(* (shape, nodes, Work.expansions, Work.plans_considered) of the exact
+   subset DP at seed 42 under [synth_provider]: one expansion per
+   connected mask of two or more nodes, one considered plan per memo
+   candidate.  A diff is a change of the exact tier's enumeration. *)
+let exact_pins =
+  [
+    ("chain", 8, 28, 190);
+    ("chain", 10, 45, 368);
+    ("chain", 12, 66, 633);
+    ("chain", 14, 91, 1000);
+    ("chain", 16, 120, 1481);
+    ("star", 8, 73, 602);
+    ("star", 10, 384, 3936);
+    ("star", 12, 1153, 14340);
+    ("star", 14, 4609, 66949);
+    ("star", 16, 12291, 205309);
+    ("balanced", 8, 43, 352);
+    ("balanced", 10, 100, 1072);
+    ("balanced", 12, 217, 2898);
+    ("balanced", 14, 463, 7595);
+    ("balanced", 16, 1008, 19615);
+    ("mixed", 8, 48, 402);
+    ("mixed", 10, 93, 965);
+    ("mixed", 12, 121, 1463);
+    ("mixed", 14, 586, 8968);
+    ("mixed", 16, 1299, 25056);
+  ]
+
+let exact_pinned rows =
+  List.length rows = List.length exact_pins
+  && List.for_all2
+       (fun r (shape, nodes, expansions, considered) ->
+         r.s_shape = shape && r.s_nodes = nodes
+         && r.s_work.Work.expansions = expansions
+         && r.s_work.Work.plans_considered = considered)
+       rows exact_pins
 
 (* ---------- gate 3: DP's measured wall, extrapolated to 30 --------- *)
 
 (* Time exhaustive DP on star patterns of growing width — the
    status-space's worst shape — each rung under a deadline so a
-   too-steep rung is dropped rather than hanging the bench.  The ladder
-   stops at the auto-tiering threshold; past it [Optimizer.optimize]
-   would re-tier DP to BigDP (which is the point of this bench). *)
+   too-steep rung is dropped rather than hanging the bench.  DP runs
+   directly on a search context: past 7 nodes [Optimizer.optimize]
+   would re-tier it onto the subset DP (which is the point of this
+   bench). *)
 let dp_ladder () =
   List.filter_map
     (fun nodes ->
       let p = Shapes.generate ~seed ~nodes Shapes.Star in
       let budget = Sjos_guard.Budget.make ~deadline_ms:5_000.0 () in
+      let ctx = Search.make_ctx ~budget ~provider:synth_provider p in
       let t0 = Sjos_obs.Clock.now_ns () in
-      match Optimizer.optimize ~budget ~provider:synth_provider Optimizer.Dp p with
+      match Sjos_core.Dp.run ctx with
       | _ -> Some (nodes, Sjos_obs.Clock.elapsed_seconds ~since:t0)
       | exception Sjos_guard.Budget.Exhausted _ -> None)
     [ 6; 7; 8; 9; 10; 11; 12 ]
@@ -161,13 +235,18 @@ let extrapolate_dp ladder ~target =
 (* ---------- main ---------- *)
 
 let run () =
-  Printf.printf "large-pattern optimizer tier: BigDP(%d) vs exhaustive DP (seed %d)\n"
+  Printf.printf
+    "large-pattern optimizer tiers: SubsetDP and BigDP(%d) vs DP/DPP (seed %d)\n"
     Bigdp.default_width seed;
   let diffs = differential () in
   let equal_small = List.for_all diff_ok diffs in
-  Printf.printf "cost equality <= 10 nodes: %s (%d cells)\n"
+  Printf.printf "cost bit-equality <= 12 nodes: %s (%d cells)\n"
     (if equal_small then "exact" else "MISMATCH")
     (List.length diffs);
+  let exact_rows = exact_scaling () in
+  let pinned = exact_pinned exact_rows in
+  Printf.printf "exact tier work %s\n"
+    (if pinned then "matches its pins" else "DIFFERS from its pins");
   let rows = scaling () in
   Printf.printf "%-10s %6s | %12s %10s %10s %10s\n" "shape" "nodes" "cost"
     "seconds" "expanded" "considered";
@@ -176,7 +255,7 @@ let run () =
       Printf.printf "%-10s %6d | %12.1f %10.4f %10d %10d%s\n" r.s_shape
         r.s_nodes r.s_cost r.s_seconds r.s_expanded r.s_considered
         (if r.s_deterministic then "" else "  !! NONDETERMINISTIC"))
-    rows;
+    (exact_rows @ rows);
   let ladder = dp_ladder () in
   let extrapolated = extrapolate_dp ladder ~target:30 in
   List.iter
@@ -190,8 +269,10 @@ let run () =
       [
         ("shape", Json.Str r.d_shape);
         ("nodes", Json.Int r.d_nodes);
-        ("dp_cost", Json.Float r.d_dp);
-        ("bigdp_cost", Json.Float r.d_big);
+        ("tier", Json.Str r.d_tier);
+        ("oracle", Json.Str r.d_oracle);
+        ("oracle_cost", Json.Float r.d_oracle_cost);
+        ("cost", Json.Float r.d_cost);
         ("equal", Json.Bool (diff_ok r));
       ]
   in
@@ -212,12 +293,13 @@ let run () =
       (fun r ->
         {
           Sjos_obs.Perf_history.entry_id =
-            Printf.sprintf "bigopt:%s%d" r.s_shape r.s_nodes;
+            Printf.sprintf "bigopt:%s%d" r.s_shape r.s_nodes
+            ^ if List.memq r exact_rows then ":exact" else "";
           work = r.s_work;
           allocated_bytes = 0.;
           seconds = r.s_seconds;
         })
-      rows
+      (exact_rows @ rows)
   in
   let meta =
     [ ("seed", Json.Int seed); ("width", Json.Int Bigdp.default_width) ]
@@ -228,6 +310,7 @@ let run () =
       (meta
       @ [
           ("differential", Json.List (List.map diff_json diffs));
+          ("exact_scaling", Json.List (List.map scale_json exact_rows));
           ("scaling", Json.List (List.map scale_json rows));
           ( "dp_ladder",
             Json.List
@@ -246,7 +329,9 @@ let run () =
       ("cost_equality_small", diffs <> [] && equal_small);
       ( "subsecond_at_30",
         rows_30 <> [] && List.for_all (fun r -> r.s_seconds < 1.0) rows_30 );
-      ("deterministic_work", List.for_all (fun r -> r.s_deterministic) rows);
+      ( "deterministic_work",
+        List.for_all (fun r -> r.s_deterministic) (exact_rows @ rows) );
+      ("exact_tier_pinned", pinned);
       ( "dp_infeasible_at_30",
         match extrapolated with Some t -> t > 60.0 | None -> false );
       ("table2_exact", Harness.table2_exact ());

@@ -237,13 +237,18 @@ let ablation_scaling () =
       let axes = List.init (n - 1) (fun _ -> Sjos_xml.Axes.Descendant) in
       let pat = Sjos_pattern.Shapes.path labels axes in
       let provider = Database.provider db pat in
-      let effort algo =
-        let r = Optimizer.optimize ~provider algo pat in
-        (r.Optimizer.plans_considered, r.Optimizer.opt_seconds *. 1000.)
+      (* the searches run directly on a context: past 7 nodes the
+         optimizer would re-tier DP and DPP onto the subset DP *)
+      let effort run =
+        let ctx = Search.make_ctx ~provider pat in
+        let t0 = Sjos_obs.Clock.now_ns () in
+        ignore (run ctx);
+        ( ctx.Search.effort.Effort.considered,
+          Sjos_obs.Clock.elapsed_seconds ~since:t0 *. 1000. )
       in
-      let dp_p, dp_t = effort Optimizer.Dp in
-      let dpp_p, dpp_t = effort Optimizer.Dpp in
-      let fp_p, fp_t = effort Optimizer.Fp in
+      let dp_p, dp_t = effort Dp.run in
+      let dpp_p, dpp_t = effort (fun ctx -> Dpp.run ctx) in
+      let fp_p, fp_t = effort Fp.run in
       Printf.printf "%-6d | %10d %9.2f | %10d %9.2f | %10d %9.2f\n" n dp_p
         dp_t dpp_p dpp_t fp_p fp_t)
     [ 3; 4; 5; 6; 7; 8 ]

@@ -84,8 +84,9 @@ let algo_opt =
     & info [ "a"; "algorithm" ] ~docv:"ALGO"
         ~doc:
           "Optimizer: dp, dpp (default), dpp-nl, dpap-eb:<Te>, dpap-ld, fp or \
-           bigdp[:<width>] (the large-pattern subset-DP tier; exact searches \
-           switch to it automatically past 12 nodes).")
+           bigdp[:<width>] (the width-capped large-pattern beam).  Exact \
+           searches switch to the exact subset DP past 7 nodes and to the \
+           beam past 16.")
 
 let xpath_flag =
   Arg.(

@@ -1,5 +1,13 @@
 (** Unified optimizer interface over the five algorithms of the paper,
-    with search-effort accounting and wall-clock optimization time. *)
+    with search-effort accounting and wall-clock optimization time.
+
+    An exact request (DP, DPP, DPP′) runs in one of three tiers by
+    pattern size: the status search as asked up to
+    {!big_pattern_threshold} nodes (the paper's query sizes, so Tables 1
+    and 2 measure the paper's algorithms), the exact {!Subset_dp} up to
+    {!exact_limit}, and the width-capped {!Big_dp} beam past it.  Every
+    tier reports its plan's cost through one canonical tally
+    ({!Search.plan_cost}). *)
 
 open Sjos_pattern
 open Sjos_plan
@@ -11,11 +19,14 @@ type algorithm =
   | Dpap_eb of int  (** expansion bound [Te] per level (§3.3.1) *)
   | Dpap_ld  (** left-deep plans only (§3.3.2) *)
   | Fp  (** fully-pipelined plans only (§3.4) *)
+  | Subset_dp
+      (** the exact subset DP over connected node-masks ({!Bigdp},
+          exact mode): the status searches' optimum, in milliseconds on
+          8-16-node patterns where they take up to seconds *)
   | Big_dp of int
-      (** the large-pattern tier ({!Bigdp}): subset DP over connected
-          node-masks with the given per-layer width cap — exact on
-          small patterns, sub-second at 30-40 nodes where the status
-          searches are infeasible *)
+      (** the width-capped beam of the same subset DP ({!Bigdp}, beam
+          mode) — exact on small patterns, sub-second at 30-40 nodes
+          where the exact searches are infeasible *)
 
 val name : algorithm -> string
 val all : Pattern.t -> algorithm list
@@ -27,20 +38,29 @@ val default_te : Pattern.t -> int
 
 val big_pattern_threshold : int
 (** Node count above which requests for an exact status search (DP,
-    DPP, DPP′) are transparently re-tiered onto {!Big_dp} — the status
-    space explodes combinatorially past the paper's query sizes. *)
+    DPP, DPP′) are transparently re-tiered onto the subset DP (7, the
+    paper's largest query) — the status space grows about 3x per node
+    past the paper's query sizes. *)
+
+val exact_limit : int
+(** Node count up to which a re-tiered exact request runs the exact
+    {!Subset_dp} (16); wider patterns take the beam. *)
 
 val effective : Pattern.t -> algorithm -> algorithm
-(** The algorithm {!optimize} will actually run for this pattern: the
-    input, except that exact status searches on patterns wider than
-    {!big_pattern_threshold} become [Big_dp Bigdp.default_width].  The
-    returned {!result}'s [algorithm] field and the engine's plan-cache
-    key both use this, never the requested tier. *)
+(** The algorithm {!optimize} will actually run for this pattern.  A DP,
+    DPP or DPP′ request runs as given up to {!big_pattern_threshold}
+    nodes, as [Subset_dp] up to {!exact_limit} nodes and as
+    [Big_dp Bigdp.default_width] past it; a [Subset_dp] request takes
+    the beam past {!exact_limit} too.  Every other request runs as
+    given.  The returned {!result}'s [algorithm] field and the engine's
+    plan-cache key both use this, never the requested tier. *)
 
 type result = {
   algorithm : algorithm;
   plan : Plan.t;
-  est_cost : float;  (** estimated cost of [plan] under the cost model *)
+  est_cost : float;
+      (** estimated cost of [plan] under the cost model, as
+          {!Search.plan_cost} tallies it *)
   plans_considered : int;  (** alternative (sub-)plans costed *)
   statuses_generated : int;
   statuses_expanded : int;
@@ -74,7 +94,7 @@ val optimize_r :
 (** Like {!optimize}, but budget exhaustion becomes a value.  When the
     budget fires during an {e exact} search (DP, DPP, DPP′, BigDP) the
     query degrades to a tier with work bounded by construction — DPAP-EB
-    with a capped [Te] at paper scale, a narrow BigDP beam past
+    with a capped [Te] at paper scale, a 16-wide BigDP beam past
     {!big_pattern_threshold} — and the result carries [degraded_from]; the
     [guard.degraded] registry counter and an [optimizer.degraded] trace
     event record the fallback.  Exhaustion in an already-heuristic tier

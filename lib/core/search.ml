@@ -209,3 +209,39 @@ let ub_cost ctx (s : Status.t) =
         +. Cost_model.stack_tree_anc ctx.factors ~anc:cu.Status.card ~output:out
         +. Cost_model.sort ctx.factors out)
     0.0 (remaining_edges ctx s)
+
+let plan_cost ctx plan =
+  let f = ctx.factors and p = ctx.provider in
+  (* singletons use the index cardinality, like [Status.start] *)
+  let card mask =
+    if mask land (mask - 1) = 0 then p.Costing.node_card (Status.popcount (mask - 1))
+    else p.Costing.cluster_card mask
+  in
+  let total = ref 0.0 in
+  for i = 0 to Pattern.node_count ctx.pat - 1 do
+    total := !total +. Cost_model.index_access f (p.Costing.node_card i)
+  done;
+  (* post-order over the operators above the scans; returns the mask *)
+  let rec ops = function
+    | Plan.Index_scan i -> 1 lsl i
+    | Plan.Structural_join { anc_side; desc_side; algo; _ } ->
+        let a = ops anc_side in
+        let m = a lor ops desc_side in
+        let anc = card a in
+        total :=
+          !total
+          +.
+          (match algo with
+          | Plan.Stack_tree_anc -> Cost_model.stack_tree_anc f ~anc ~output:(card m)
+          | Plan.Stack_tree_desc -> Cost_model.stack_tree_desc f ~anc);
+        m
+    | Plan.Sort { input; _ } ->
+        let m = ops input in
+        total := !total +. Cost_model.sort f (card m);
+        m
+    | Plan.Holistic { mask; _ } as h ->
+        total := !total +. Costing.operator_cost f p h;
+        mask
+  in
+  ignore (ops plan);
+  !total

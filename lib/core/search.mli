@@ -79,3 +79,12 @@ val ub_cost : ctx -> Status.t -> float
     at current cluster cardinalities plus a sort of its output.  Used only
     to order expansion; pruning relies on [cost] alone, so optimality does
     not depend on this being a true upper bound. *)
+
+val plan_cost : ctx -> Plan.t -> float
+(** The canonical tally of a plan's estimated cost, which every
+    {!Optimizer} tier reports: the index scans in node order, then each
+    join and sort in plan post-order (the order-by sort, at the root,
+    comes last).  Cardinalities are read as the searches read them —
+    a single node's from [node_card], a cluster's from [cluster_card] —
+    so the tally equals a search's internal sum up to the order of the
+    additions. *)

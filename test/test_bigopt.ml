@@ -8,14 +8,16 @@
      never silently wrapped into a negative bitmask;
    - bit-identical effort counters after the popcount/cluster-map
      rework, pinned on the paper's Pers.3.d query;
-   - BigDP differential: plan-cost equality with DP and DPP on every
-     generated pattern <= 10 nodes, across the generator's four shape
+   - subset DP differential: cost-bit equality of the exact tier with
+     DPP on every generated pattern <= 12 nodes and with DP <= 10, and
+     of the beam with DP <= 10, across the generator's four shape
      classes (seed via SJOS_BIGOPT_SEED, default 42);
    - budget truncation degrades structurally (Ok + degraded_from),
      never crashes;
    - generator shape invariants and determinism;
-   - automatic tiering past the node threshold, end to end through
-     Database. *)
+   - the three-tier automatic tiering, end to end through Database;
+   - the exact mode where the beam is not exact, and the exact tier's
+     effort counters pinned. *)
 
 open Sjos_xml
 open Sjos_storage
@@ -155,9 +157,18 @@ let test_effort_pins () =
       check ci (nm ^ " pruned_left_deep") pl e.Effort.pruned_left_deep)
     expect
 
-(* ---------- BigDP differential against DP/DPP on small patterns ----- *)
+(* ---------- subset DP differential against DP/DPP ---------- *)
+
+(* The oracles run the status searches directly on a search context:
+   through [Optimizer.optimize], DP and DPP on 8+ nodes re-tier onto the
+   subset DP and would compare it with itself. *)
+let oracle run p =
+  let ctx = Search.make_ctx ~provider:synth_provider p in
+  let _, plan = run ctx in
+  (Search.plan_cost ctx plan, plan)
 
 let test_bigdp_differential () =
+  let bits = Int64.bits_of_float in
   List.iter
     (fun shape ->
       List.iter
@@ -169,19 +180,23 @@ let test_bigdp_differential () =
                 Printf.sprintf "%s/%d/seed%d" (Shapes.gen_shape_name shape)
                   nodes s
               in
-              let dp = Optimizer.optimize ~provider:synth_provider Optimizer.Dp p in
-              let dpp = Optimizer.optimize ~provider:synth_provider Optimizer.Dpp p in
-              let big =
-                Optimizer.optimize ~provider:synth_provider
-                  (Optimizer.Big_dp Bigdp.default_width) p
-              in
-              Helpers.checkf (id ^ " BigDP = DP cost") dp.Optimizer.est_cost
-                big.Optimizer.est_cost;
-              Helpers.checkf (id ^ " BigDP = DPP cost") dpp.Optimizer.est_cost
-                big.Optimizer.est_cost;
+              let optimize a = Optimizer.optimize ~provider:synth_provider a p in
+              let exact = optimize Optimizer.Subset_dp in
+              let dpp_cost, dpp_plan = oracle (fun ctx -> Dpp.run ctx) p in
+              check Alcotest.int64 (id ^ " SubsetDP = DPP cost bits")
+                (bits dpp_cost) (bits exact.Optimizer.est_cost);
+              if nodes <= 10 then begin
+                let dp_cost, _ = oracle Dp.run p in
+                check Alcotest.int64 (id ^ " SubsetDP = DP cost bits")
+                  (bits dp_cost) (bits exact.Optimizer.est_cost);
+                (* the beam prunes nothing at <= 10 nodes *)
+                let beam = optimize (Optimizer.Big_dp Bigdp.default_width) in
+                check Alcotest.int64 (id ^ " BigDP = DP cost bits")
+                  (bits dp_cost) (bits beam.Optimizer.est_cost)
+              end;
               check (Alcotest.result Alcotest.unit cs) (id ^ " plan valid")
                 (Ok ())
-                (Properties.validate p big.Optimizer.plan);
+                (Properties.validate p exact.Optimizer.plan);
               (* the plan is priced honestly: re-costing both plans
                  through the same external cost function agrees (the
                  function's order-by accounting differs from the search's
@@ -190,11 +205,10 @@ let test_bigdp_differential () =
               let recost plan =
                 Costing.cost Sjos_cost.Cost_model.default synth_provider p plan
               in
-              Helpers.checkf (id ^ " plan recost")
-                (recost dp.Optimizer.plan)
-                (recost big.Optimizer.plan))
+              Helpers.checkf (id ^ " plan recost") (recost dpp_plan)
+                (recost exact.Optimizer.plan))
             [ seed; seed + 1 ])
-        [ 4; 5; 6; 7; 8; 9; 10 ])
+        [ 4; 5; 6; 7; 8; 9; 10; 11; 12 ])
     Shapes.all_gen_shapes
 
 (* ---------- budget truncation degrades, never crashes ---------- *)
@@ -216,6 +230,20 @@ let test_budget_degrades () =
         (Properties.validate p r.Optimizer.plan)
   | Error e ->
       Alcotest.failf "budgeted big-pattern optimize failed: %s"
+        (Sjos_guard.Error.message e));
+  (* a 9-node DPP request runs the exact subset DP; a budget firing
+     there degrades to the 16-wide beam, not to DPAP-EB *)
+  (match
+     Optimizer.optimize_r ~budget ~provider:synth_provider Optimizer.Dpp
+       (Shapes.generate ~seed ~nodes:9 Shapes.Star)
+   with
+  | Ok r ->
+      check cs "9-node fallback tier" "BigDP(16)"
+        (Optimizer.name r.Optimizer.algorithm);
+      check cb "9-node degraded_from" true
+        (r.Optimizer.degraded_from = Some Optimizer.Dpp)
+  | Error e ->
+      Alcotest.failf "budgeted 9-node optimize failed: %s"
         (Sjos_guard.Error.message e));
   (* forcing the tier explicitly degrades the same way *)
   match
@@ -281,20 +309,38 @@ let test_generator_invariants () =
 (* ---------- automatic tiering ---------- *)
 
 let test_auto_tiering () =
-  let small = big_chain Optimizer.big_pattern_threshold in
-  let large = big_chain (Optimizer.big_pattern_threshold + 1) in
-  check cb "small stays DPP" true
-    (Optimizer.effective small Optimizer.Dpp = Optimizer.Dpp);
-  check cb "large re-tiers" true
-    (Optimizer.effective large Optimizer.Dpp
+  let n7 = big_chain Optimizer.big_pattern_threshold in
+  let n8 = big_chain (Optimizer.big_pattern_threshold + 1) in
+  let top = big_chain Optimizer.exact_limit in
+  let past = big_chain (Optimizer.exact_limit + 1) in
+  check ci "the status searches keep the paper's sizes" 7
+    Optimizer.big_pattern_threshold;
+  List.iter
+    (fun a ->
+      let nm = Optimizer.name a in
+      check cb (nm ^ " at 7 runs as asked") true (Optimizer.effective n7 a = a);
+      check cb (nm ^ " at 8 is exact") true
+        (Optimizer.effective n8 a = Optimizer.Subset_dp);
+      check cb (nm ^ " at N is exact") true
+        (Optimizer.effective top a = Optimizer.Subset_dp);
+      check cb (nm ^ " at N+1 is the beam") true
+        (Optimizer.effective past a = Optimizer.Big_dp Bigdp.default_width))
+    Optimizer.[ Dp; Dpp; Dpp_no_lookahead ];
+  check cb "an explicit exact request past N takes the beam" true
+    (Optimizer.effective past Optimizer.Subset_dp
     = Optimizer.Big_dp Bigdp.default_width);
   check cb "heuristics never re-tier" true
-    (Optimizer.effective large Optimizer.Fp = Optimizer.Fp);
-  let r = Optimizer.optimize ~provider:synth_provider Optimizer.Dpp large in
-  check cs "result reports the effective tier" "BigDP(1024)"
-    (Optimizer.name r.Optimizer.algorithm);
+    (Optimizer.effective past Optimizer.Fp = Optimizer.Fp);
+  let name_of p =
+    Optimizer.name
+      (Optimizer.optimize ~provider:synth_provider Optimizer.Dpp p)
+        .Optimizer.algorithm
+  in
+  check cs "result reports the exact tier" "SubsetDP" (name_of n8);
+  check cs "result reports the beam" "BigDP(1024)" (name_of past);
   (* and the effort counters are reproducible run over run *)
-  let r2 = Optimizer.optimize ~provider:synth_provider Optimizer.Dpp large in
+  let r = Optimizer.optimize ~provider:synth_provider Optimizer.Dpp past in
+  let r2 = Optimizer.optimize ~provider:synth_provider Optimizer.Dpp past in
   check ci "considered deterministic" r.Optimizer.plans_considered
     r2.Optimizer.plans_considered;
   check ci "expanded deterministic" r.Optimizer.statuses_expanded
@@ -314,14 +360,45 @@ let test_database_end_to_end () =
   let edges = Array.init (n - 1) (fun i -> (i, Axes.Descendant, i + 1)) in
   let p = Pattern.create ~labels ~edges () in
   let run = Database.run db p in
-  check cs "ran under the BigDP tier" "BigDP(1024)"
+  check cs "ran under the exact tier" "SubsetDP"
     (Optimizer.name run.Database.opt.Optimizer.algorithm);
   check ci "deep self-chain is empty at 1k nodes" 0
     (Array.length run.Database.exec.Sjos_exec.Executor.tuples);
   (* the second run hits the plan cache under the effective-tier key *)
   let again = Database.prepare db p in
-  check cb "cache hit on the BigDP key" true
+  check cb "cache hit on the exact-tier key" true
     (Database.prepared_from_cache again)
+
+(* ---------- the exact mode where the beam is not exact ---------- *)
+
+let test_exact_beats_beam () =
+  (* 18 nodes is past the exact limit, so run both modes directly *)
+  let p = Shapes.generate ~seed:42 ~nodes:18 Shapes.Star in
+  let cost mode =
+    let ctx = Search.make_ctx ~provider:synth_provider p in
+    let _, plan = Bigdp.run mode ctx in
+    check (Alcotest.result Alcotest.unit cs) "plan valid" (Ok ())
+      (Properties.validate p plan);
+    Printf.sprintf "%.2f" (Search.plan_cost ctx plan)
+  in
+  check cs "exact optimum" "23778.82" (cost Bigdp.Exact);
+  check cs "the capped beam misses it" "24651.98"
+    (cost (Bigdp.Beam Bigdp.default_width))
+
+(* ---------- exact-tier effort counters pinned ---------- *)
+
+let test_exact_effort_pins () =
+  (* fixed seed: the pin must not move with SJOS_BIGOPT_SEED *)
+  let p = Shapes.generate ~seed:42 ~nodes:12 Shapes.Star in
+  let r = Optimizer.optimize ~provider:synth_provider Optimizer.Dpp p in
+  let e = r.Optimizer.effort in
+  check cs "tier" "SubsetDP" (Optimizer.name r.Optimizer.algorithm);
+  check ci "considered" 14340 e.Effort.considered;
+  check ci "generated" 14340 e.Effort.generated;
+  check ci "expanded" 1153 e.Effort.expanded;
+  check ci "pruned_bound" 0 e.Effort.pruned_bound;
+  check ci "pruned_deadend" 0 e.Effort.pruned_deadend;
+  check ci "pruned_left_deep" 0 e.Effort.pruned_left_deep
 
 let suite =
   [
@@ -329,9 +406,11 @@ let suite =
     ("popcount and cluster map", `Quick, test_popcount_and_cluster_map);
     ("node-count ceiling", `Quick, test_node_limit);
     ("effort counters pinned", `Quick, test_effort_pins);
-    ("BigDP = DP = DPP on generated patterns <= 10", `Quick, test_bigdp_differential);
+    ("BigDP = DP = DPP on generated patterns, bit-equal", `Quick, test_bigdp_differential);
     ("budget truncation degrades structurally", `Quick, test_budget_degrades);
     ("generator shape invariants", `Quick, test_generator_invariants);
     ("automatic tiering past the threshold", `Quick, test_auto_tiering);
     ("Database end to end at 15 nodes", `Quick, test_database_end_to_end);
+    ("exact mode beats the beam at 18 nodes", `Quick, test_exact_beats_beam);
+    ("exact-tier effort counters pinned", `Quick, test_exact_effort_pins);
   ]
